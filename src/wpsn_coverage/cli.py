@@ -13,6 +13,8 @@ import argparse
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import figures
 from .coverage import source_count, required_power
 from .deployment import (
@@ -70,7 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--area-m2", type=_magnitude("area"), dest="field_area_m2")
     common.add_argument("--r-rf-m", type=_magnitude("length"), dest="r_rf_m")
     common.add_argument(
-        "--strategy", type=Strategy, choices=list(Strategy), dest="strategy"
+        "--strategy", type=Strategy, choices=[s.value for s in Strategy], dest="strategy"
     )
     common.add_argument("--nodes", type=int, dest="node_count")
 
@@ -166,24 +168,18 @@ def _cmd_deploy(args) -> int:
     _write_rows(
         args.out / "placement.csv",
         ("source", "x_m", "y_m"),
-        [(float(i), x, y) for i, (x, y) in enumerate(dep.sources)],
+        np.column_stack((np.arange(len(dep.sources)), dep.sources)).tolist(),
         meta,
     )
+    fed = np.diff(report.indptr) > 0
+    first_source = np.full(len(fed), -1.0)
+    first_source[fed] = report.indices[report.indptr[:-1][fed]]
     _write_rows(
         args.out / "coverage.csv",
         ("node", "x_m", "y_m", "covered", "first_source"),
-        [
-            (
-                float(i),
-                x,
-                y,
-                float(bool(feeds)),
-                float(feeds[0]) if feeds else -1.0,
-            )
-            for i, ((x, y), feeds) in enumerate(
-                zip(nodes.positions, report.feeding_sources)
-            )
-        ],
+        np.column_stack(
+            (np.arange(len(fed)), nodes.positions, fed, first_source)
+        ).tolist(),
         {**meta, "covered_count": report.covered_count, "total_count": report.total_count},
     )
     print(f"sources {len(dep.sources)}")

@@ -43,8 +43,9 @@ class EventField:
         """Area in m^2."""
         return self.width * self.height
 
-    def contains(self, x: float, y: float) -> bool:
-        return 0.0 <= x <= self.width and 0.0 <= y <= self.height
+    def contains(self, x, y):
+        """Whether (x, y) lies in the closed field; elementwise on arrays."""
+        return (0.0 <= x) & (x <= self.width) & (0.0 <= y) & (y <= self.height)
 
 
 @dataclass(frozen=True)

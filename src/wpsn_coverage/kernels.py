@@ -21,7 +21,7 @@ covered_count = _impl.covered_count
 
 
 def implementations() -> dict[str, object]:
-    """All available kernel implementations, for parity tests and benchmarks."""
+    """All available kernel implementations, for parity tests."""
     impls: dict[str, object] = {"python": _kernels_py}
     if HAVE_COMPILED:
         impls["compiled"] = _impl

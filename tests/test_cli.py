@@ -181,6 +181,15 @@ class TestSweep:
         assert blobs[0] == blobs[1]
 
 
+@pytest.mark.parametrize("command", ["deploy", "interference"])
+def test_strategy_help_lists_values(capsys, command):
+    with pytest.raises(SystemExit):
+        cli.build_parser().parse_args([command, "--help"])
+    text = capsys.readouterr().out
+    assert "{square_grid,hex_grid,explicit}" in text
+    assert "Strategy." not in text
+
+
 class TestErrorHandling:
     def test_unknown_subcommand(self, capsys):
         code, out, err = run(capsys, "frobnicate")

@@ -1,5 +1,7 @@
 import math
+import os
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -32,7 +34,7 @@ class TestPlaceSources:
     def test_single_disc_field(self):
         r = 5.0
         dep = place_sources(EventField(2 * r, 2 * r), r, Strategy.SQUARE_GRID)
-        assert dep.sources == ((r, r),)
+        assert np.array_equal(dep.sources, [(r, r)])
 
     def test_hex_beats_square_on_large_field(self):
         field = EventField(1000.0, 1000.0)
@@ -60,7 +62,7 @@ class TestPlaceSources:
     def test_grid_contracts(self, width, height, r, strategy):
         field = EventField(width, height)
         dep = place_sources(field, r, strategy)
-        assert dep.sources
+        assert len(dep.sources) > 0
         for x, y in dep.sources:
             assert r - 1e-9 <= x <= width - r + 1e-9
             assert r - 1e-9 <= y <= height - r + 1e-9
@@ -73,17 +75,19 @@ class TestPlaceSources:
 class TestScatterNodes:
     def test_empty(self):
         nodes = scatter_nodes(EventField(10.0, 10.0), 0, seed=3)
-        assert nodes.positions == ()
+        assert nodes.positions.shape == (0, 2)
 
     def test_deterministic(self):
         field = EventField(100.0, 40.0)
         a = scatter_nodes(field, 500, seed=11)
         b = scatter_nodes(field, 500, seed=11)
-        assert a.positions == b.positions
+        assert np.array_equal(a.positions, b.positions)
 
     def test_different_seed_differs(self):
         field = EventField(100.0, 40.0)
-        assert scatter_nodes(field, 50, 1).positions != scatter_nodes(field, 50, 2).positions
+        assert not np.array_equal(
+            scatter_nodes(field, 50, 1).positions, scatter_nodes(field, 50, 2).positions
+        )
 
     def test_all_inside_field(self):
         field = EventField(30.0, 70.0)
@@ -129,7 +133,30 @@ class TestCoverageReport:
         dep = Deployment(field, ((10.0, 5.0), (14.0, 5.0)), 5.0, Strategy.EXPLICIT)
         nodes = _nodes_at(field, [(12.0, 5.0)])
         report = coverage_report(dep, nodes)
-        assert report.feeding_sources == ((0, 1),)
+        assert report.indptr.tolist() == [0, 2]
+        assert report.indices.tolist() == [0, 1]
+
+    def test_csr_matches_per_node_loop(self):
+        field = EventField(60.0, 40.0)
+        sources = ((10.0, 10.0), (18.5, 12.25), (30.0, 20.0), (35.0, 24.0), (50.0, 35.0))
+        r = 9.0
+        dep = Deployment(field, sources, r, Strategy.EXPLICIT)
+        nodes = scatter_nodes(field, 2000, seed=4)
+        report = coverage_report(dep, nodes)
+        expected = [
+            [j for j, (sx, sy) in enumerate(sources)
+             if (x - sx) * (x - sx) + (y - sy) * (y - sy) <= r * r]
+            for x, y in nodes.positions.tolist()
+        ]
+        got = [
+            report.indices[lo:hi].tolist()
+            for lo, hi in zip(report.indptr[:-1], report.indptr[1:])
+        ]
+        assert got == expected
+        assert report.covered_count == sum(1 for feeds in expected if feeds)
+        assert detect_interference(dep, nodes).multi_fed_nodes == tuple(
+            i for i, feeds in enumerate(expected) if len(feeds) >= 2
+        )
 
     def test_field_mismatch_rejected(self):
         dep = Deployment(EventField(20.0, 20.0), ((10.0, 10.0),), 5.0, Strategy.EXPLICIT)
@@ -160,6 +187,32 @@ class TestMonteCarloCoverage:
         sequential = monte_carlo_coverage(dep, 10**5 + 7, seed=13, workers=1)
         parallel = monte_carlo_coverage(dep, 10**5 + 7, seed=13, workers=4)
         assert sequential == parallel
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_rejects_workers_below_one(self, workers):
+        dep = Deployment(EventField(20.0, 20.0), ((10.0, 10.0),), 5.0, Strategy.EXPLICIT)
+        with pytest.raises(ValidationError):
+            monte_carlo_coverage(dep, 1000, seed=0, workers=workers)
+
+    def test_pool_capped_at_cpu_count(self, monkeypatch):
+        from concurrent.futures import Executor
+
+        from wpsn_coverage import deployment
+
+        seen = []
+
+        class InlineExecutor(Executor):
+            def __init__(self, max_workers):
+                seen.append(max_workers)
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(deployment, "ThreadPoolExecutor", InlineExecutor)
+        dep = place_sources(EventField(100.0, 100.0), 10.0, Strategy.HEX_GRID)
+        sequential = monte_carlo_coverage(dep, 1000, seed=5, workers=1)
+        assert monte_carlo_coverage(dep, 1000, seed=5, workers=10**6) == sequential
+        assert all(m <= os.cpu_count() for m in seen)
 
     def test_agrees_with_membership_on_same_samples(self):
         field = EventField(120.0, 120.0)
@@ -211,6 +264,32 @@ class TestDeploymentValidation:
     def test_source_outside_field_rejected(self):
         with pytest.raises(ValidationError):
             Deployment(EventField(10.0, 10.0), ((15.0, 5.0),), 2.0, Strategy.EXPLICIT)
+
+    def test_error_names_first_source_outside(self):
+        with pytest.raises(ValidationError, match=r"source \(15.0, 5.0\)"):
+            Deployment(
+                EventField(10.0, 10.0), ((5.0, 5.0), (15.0, 5.0), (20.0, 5.0)), 2.0,
+                Strategy.EXPLICIT,
+            )
+
+    @pytest.mark.parametrize(
+        "sources", [((1.0, 2.0, 3.0),), (1.0, 2.0), ((1.0, 2.0), (3.0,)), (("a", "b"),)]
+    )
+    def test_malformed_sources_rejected(self, sources):
+        with pytest.raises(ValidationError):
+            Deployment(EventField(10.0, 10.0), sources, 2.0, Strategy.EXPLICIT)
+
+    def test_node_outside_field_rejected(self):
+        with pytest.raises(ValidationError, match="node"):
+            _nodes_at(EventField(10.0, 10.0), [(5.0, 5.0), (5.0, -1.0)])
+
+    def test_point_arrays_are_read_only_copies(self):
+        given = np.array([[5.0, 5.0]])
+        dep = Deployment(EventField(10.0, 10.0), given, 2.0, Strategy.EXPLICIT)
+        given[0, 0] = 9.0
+        assert dep.sources.tolist() == [[5.0, 5.0]]
+        with pytest.raises(ValueError):
+            dep.sources[0, 0] = 1.0
 
     def test_non_positive_radius_rejected(self):
         with pytest.raises(ValidationError):
