@@ -50,18 +50,10 @@ from .deployment import (
     scatter_nodes,
 )
 from .sweep_report import (
-    Axis,
     PlotOptions,
-    Spacing,
-    SweepSpec,
     SweepTable,
     render_csv,
     render_svg,
-    sweep_power_vs_frequency,
-    sweep_range_vs_power,
-    sweep_sources_vs_area,
-    sweep_sources_vs_power,
-    sweep_voltage_vs_power,
     write_csv,
     write_svg_plot,
 )
@@ -73,7 +65,6 @@ __version__ = "0.1.0"
 __all__ = [
     "SPEED_OF_LIGHT",
     "Area",
-    "Axis",
     "CoverageReport",
     "Deployment",
     "EventField",
@@ -90,9 +81,7 @@ __all__ = [
     "Resistance",
     "Scenario",
     "SourceCount",
-    "Spacing",
     "Strategy",
-    "SweepSpec",
     "SweepTable",
     "ValidationError",
     "Voltage",
@@ -117,11 +106,6 @@ __all__ = [
     "serialize_scenario",
     "source_count",
     "source_count_from_range",
-    "sweep_power_vs_frequency",
-    "sweep_range_vs_power",
-    "sweep_sources_vs_area",
-    "sweep_sources_vs_power",
-    "sweep_voltage_vs_power",
     "wavelength",
     "write_csv",
     "write_svg_plot",

@@ -33,7 +33,7 @@ from .scenario import (
     load_scenario,
     parse_magnitude,
 )
-from .sweep_report import PlotOptions, SweepTable, write_csv, write_svg_plot, _format_number
+from .sweep_report import SweepTable, write_csv, write_svg_plot, _format_number
 
 
 class _UsageError(ValidationError):
@@ -54,36 +54,42 @@ def _magnitude(dimension: str):
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="wpsncov", description=__doc__.splitlines()[0])
-    common = _Parser(add_help=False)
-    common.add_argument("--scenario", type=Path, help="scenario file (key = value lines)")
-    common.add_argument("--out", type=Path, default=Path("."), help="output directory")
-    common.add_argument("--seed", type=int, help="RNG seed for nodes / Monte Carlo")
-    common.add_argument("--p-t-w", type=_magnitude("power"), dest="p_t_w")
-    common.add_argument(
+    # Each subcommand takes only the flags it reads; each parent adds to the one before.
+    radio = _Parser(add_help=False)
+    radio.add_argument("--scenario", type=Path, help="scenario file (key = value lines)")
+    radio.add_argument("--p-t-w", type=_magnitude("power"), dest="p_t_w")
+    radio.add_argument(
         "--eirp-product-w", type=_magnitude("power"), dest="eirp_product_w",
         help="p_t*g_t*g_r folded into one value (gains become 1)",
     )
-    common.add_argument("--g-t-dbi", type=float, dest="g_t_dbi")
-    common.add_argument("--g-r-dbi", type=float, dest="g_r_dbi")
-    common.add_argument("--f-hz", type=_magnitude("frequency"), dest="f_hz")
-    common.add_argument("--v-min-v", type=_magnitude("voltage"), dest="v_min_v")
-    common.add_argument("--r-r-ohm", type=_magnitude("resistance"), dest="r_r_ohm")
-    common.add_argument("--r-l-ohm", type=_magnitude("resistance"), dest="r_l_ohm")
-    common.add_argument("--area-m2", type=_magnitude("area"), dest="field_area_m2")
-    common.add_argument("--r-rf-m", type=_magnitude("length"), dest="r_rf_m")
-    common.add_argument(
+    radio.add_argument("--g-t-dbi", type=float, dest="g_t_dbi")
+    radio.add_argument("--g-r-dbi", type=float, dest="g_r_dbi")
+    radio.add_argument("--f-hz", type=_magnitude("frequency"), dest="f_hz")
+    radio.add_argument("--v-min-v", type=_magnitude("voltage"), dest="v_min_v")
+    radio.add_argument("--r-r-ohm", type=_magnitude("resistance"), dest="r_r_ohm")
+    radio.add_argument("--r-l-ohm", type=_magnitude("resistance"), dest="r_l_ohm")
+    field = _Parser(add_help=False, parents=[radio])
+    field.add_argument("--area-m2", type=_magnitude("area"), dest="field_area_m2")
+    output = _Parser(add_help=False, parents=[field])
+    output.add_argument("--out", type=Path, default=Path("."), help="output directory")
+    placement = _Parser(add_help=False, parents=[output])
+    placement.add_argument(
+        "--seed", type=int, dest="node_seed", help="RNG seed for node scattering"
+    )
+    placement.add_argument("--r-rf-m", type=_magnitude("length"), dest="r_rf_m")
+    placement.add_argument(
         "--strategy", type=Strategy, choices=[s.value for s in Strategy], dest="strategy"
     )
-    common.add_argument("--nodes", type=int, dest="node_count")
+    placement.add_argument("--nodes", type=int, dest="node_count")
 
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("range", parents=[common], help="print the activation range in meters")
-    sub.add_parser("sources", parents=[common], help="print the required source count")
-    p_power = sub.add_parser("power", parents=[common], help="print required transmit power")
+    sub.add_parser("range", parents=[radio], help="print the activation range in meters")
+    sub.add_parser("sources", parents=[field], help="print the required source count")
+    p_power = sub.add_parser("power", parents=[field], help="print required transmit power")
     p_power.add_argument("--k", type=int, required=True, help="number of sources")
-    sub.add_parser("deploy", parents=[common], help="write placement and coverage CSVs")
-    sub.add_parser("interference", parents=[common], help="write the interference report CSV")
-    p_sweep = sub.add_parser("sweep", parents=[common], help="write a figure dataset CSV")
+    sub.add_parser("deploy", parents=[placement], help="write placement and coverage CSVs")
+    sub.add_parser("interference", parents=[placement], help="write the interference report CSV")
+    p_sweep = sub.add_parser("sweep", parents=[output], help="write a figure dataset CSV")
     p_sweep.add_argument("--figure", type=int, required=True, choices=figures.FIGURES)
     p_sweep.add_argument("--svg", action="store_true", help="also write an SVG plot")
     return parser
@@ -91,15 +97,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 _OVERRIDE_KEYS = (
     "p_t_w", "eirp_product_w", "g_t_dbi", "g_r_dbi", "f_hz", "v_min_v",
-    "r_r_ohm", "r_l_ohm", "field_area_m2", "r_rf_m", "strategy", "node_count",
+    "r_r_ohm", "r_l_ohm", "field_area_m2", "r_rf_m", "strategy", "node_count", "node_seed",
 )
 
 
 def _scenario_from_args(args) -> Scenario:
     scenario = load_scenario(args.scenario) if args.scenario else Scenario()
     overrides = {key: getattr(args, key, None) for key in _OVERRIDE_KEYS}
-    if args.seed is not None:
-        overrides["node_seed"] = args.seed
     return apply_overrides(scenario, **overrides)
 
 

@@ -1,118 +1,146 @@
-"""Default sweep grids for the five report figures.
+"""The five report figures as one table of sweeps.
 
-Grids bracket every numeric anchor: transmit power 0.1..10 W
-(log, with 1 W and 4 W forced onto the grid), frequencies 0.5/1/2 GHz,
-area 1e3..1e5 m2 (linear, with 4e4 m2 forced onto the grid).
+Each figure tabulates one design relation (induced voltage vs. received
+power, activation range vs. transmit power, source count vs. power /
+area, required power vs. frequency) over a fixed grid, with one row per
+(axis value, series value). Grids bracket every numeric anchor:
+transmit power 0.1..10 W (log, with 1 W and 4 W forced onto the grid),
+frequencies 0.5/1/2 GHz, area 1e3..1e5 m2 (linear, with 4e4 m2 forced
+onto the grid).
 """
 
 from __future__ import annotations
 
-from .coverage import EventField
-from .link_budget import RadioParams
+import math
+from dataclasses import dataclass
+from typing import Callable
+
+import numpy as np
+
+from .coverage import EventField, required_power, source_count
+from .link_budget import RadioParams, induced_voltage, max_range
 from .quantities import ValidationError
-from .sweep_report import (
-    Axis,
-    PlotOptions,
-    Spacing,
-    SweepSpec,
-    SweepTable,
-    sweep_power_vs_frequency,
-    sweep_range_vs_power,
-    sweep_sources_vs_area,
-    sweep_sources_vs_power,
-    sweep_voltage_vs_power,
-)
+from .sweep_report import PlotOptions, SweepTable
 
 FREQUENCY_SERIES_HZ = (5.0e8, 1.0e9, 2.0e9)
-FIGURES = (4, 5, 6, 7, 8)
 
 
-def default_spec(figure: int, radio: RadioParams, field: EventField) -> SweepSpec:
-    if figure == 4:
-        return SweepSpec(
-            axis=Axis.RECEIVED_POWER,
-            start=0.0,
-            stop=1.0e-4,
-            points=50,
-            spacing=Spacing.LINEAR,
-            include=(1.25e-5,),
-            radio=radio,
-            field=field,
-        )
-    if figure in (5, 6):
-        return SweepSpec(
-            axis=Axis.TRANSMIT_POWER,
-            start=0.1,
-            stop=10.0,
-            points=50,
-            spacing=Spacing.LOGARITHMIC,
-            series=FREQUENCY_SERIES_HZ,
-            include=(1.0, 4.0),
-            radio=radio,
-            field=field,
-        )
-    if figure == 7:
-        return SweepSpec(
-            axis=Axis.FREQUENCY,
-            start=5.0e8,
-            stop=2.0e9,
-            points=50,
-            spacing=Spacing.LINEAR,
-            series=(2.0, 4.0, 6.0, 8.0, 10.0),
-            include=(1.0e9,),
-            radio=radio,
-            field=field,
-        )
-    if figure == 8:
-        return SweepSpec(
-            axis=Axis.AREA,
-            start=1.0e3,
-            stop=1.0e5,
-            points=50,
-            spacing=Spacing.LINEAR,
-            series=tuple((1.0, f) for f in FREQUENCY_SERIES_HZ),
-            include=(4.0e4,),
-            radio=radio,
-            field=field,
-        )
-    raise ValidationError(f"figure must be one of {FIGURES}, got {figure}")
+@dataclass(frozen=True)
+class _Figure:
+    axis: str
+    start: float
+    stop: float
+    points: int
+    log: bool
+    include: tuple[float, ...]  # axis values forced onto the grid
+    series: tuple[tuple[float, ...], ...]
+    columns: tuple[str, ...]
+    # (axis value, series values, radio, field) -> the row's output columns
+    relation: Callable[[float, tuple, RadioParams, EventField], tuple[float, ...]]
+    plot: PlotOptions
+
+    def grid(self) -> list[float]:
+        if self.log:
+            grid = np.logspace(math.log10(self.start), math.log10(self.stop), self.points)
+        else:
+            grid = np.linspace(self.start, self.stop, self.points)
+        values = set(grid.tolist())
+        values.update(v for v in self.include if self.start <= v <= self.stop)
+        return sorted(values)
 
 
-_SWEEP_FNS = {
-    4: sweep_voltage_vs_power,
-    5: sweep_range_vs_power,
-    6: sweep_sources_vs_power,
-    7: sweep_power_vs_frequency,
-    8: sweep_sources_vs_area,
+def _sources(area, radio: RadioParams) -> tuple[float, float]:
+    k = source_count(area, radio)
+    return k.exact, float(k.required)
+
+
+_TABLE = {
+    4: _Figure(
+        "received_power", 0.0, 1.0e-4, 50, False, (1.25e-5,), ((),),
+        ("p_r_w", "v_induced_v"),
+        lambda p_r, _, radio, field: (induced_voltage(p_r, radio.r_r, radio.r_l).volts,),
+        PlotOptions(x_col="p_r_w", y_col="v_induced_v", title="Induced voltage vs received power"),
+    ),
+    5: _Figure(
+        "transmit_power", 0.1, 10.0, 50, True, (1.0, 4.0),
+        tuple((f,) for f in FREQUENCY_SERIES_HZ),
+        ("p_t_w", "f_hz", "max_range_m"),
+        lambda p_t, s, radio, field: (
+            max_range(radio.with_power(p_t).with_frequency(s[0])).meters,
+        ),
+        PlotOptions(
+            x_col="p_t_w", y_col="max_range_m", series_cols=("f_hz",), log_x=True,
+            title="Activation range vs transmit power",
+        ),
+    ),
+    6: _Figure(
+        "transmit_power", 0.1, 10.0, 50, True, (1.0, 4.0),
+        tuple((f,) for f in FREQUENCY_SERIES_HZ),
+        ("p_t_w", "f_hz", "k_exact", "k_required"),
+        lambda p_t, s, radio, field: _sources(field, radio.with_power(p_t).with_frequency(s[0])),
+        PlotOptions(
+            x_col="p_t_w", y_col="k_exact", series_cols=("f_hz",), log_x=True,
+            title="Required sources vs transmit power",
+        ),
+    ),
+    7: _Figure(
+        "frequency", 5.0e8, 2.0e9, 50, False, (1.0e9,),
+        ((2.0,), (4.0,), (6.0,), (8.0,), (10.0,)),
+        ("f_hz", "k", "required_power_w"),
+        lambda f, s, radio, field: (
+            required_power(field, int(s[0]), radio.with_frequency(f)).watts,
+        ),
+        PlotOptions(
+            x_col="f_hz", y_col="required_power_w", series_cols=("k",),
+            title="Required transmit power vs frequency",
+        ),
+    ),
+    8: _Figure(
+        "area", 1.0e3, 1.0e5, 50, False, (4.0e4,),
+        tuple((1.0, f) for f in FREQUENCY_SERIES_HZ),
+        ("area_m2", "p_t_w", "f_hz", "k_exact", "k_required"),
+        lambda area, s, radio, field: _sources(area, radio.with_power(s[0]).with_frequency(s[1])),
+        PlotOptions(
+            x_col="area_m2", y_col="k_exact", series_cols=("p_t_w", "f_hz"),
+            title="Required sources vs event area",
+        ),
+    ),
 }
 
-_PLOT_OPTIONS = {
-    4: PlotOptions(x_col="p_r_w", y_col="v_induced_v", title="Induced voltage vs received power"),
-    5: PlotOptions(
-        x_col="p_t_w", y_col="max_range_m", series_cols=("f_hz",), log_x=True,
-        title="Activation range vs transmit power",
-    ),
-    6: PlotOptions(
-        x_col="p_t_w", y_col="k_exact", series_cols=("f_hz",), log_x=True,
-        title="Required sources vs transmit power",
-    ),
-    7: PlotOptions(
-        x_col="f_hz", y_col="required_power_w", series_cols=("k",),
-        title="Required transmit power vs frequency",
-    ),
-    8: PlotOptions(
-        x_col="area_m2", y_col="k_exact", series_cols=("p_t_w", "f_hz"),
-        title="Required sources vs event area",
-    ),
-}
+FIGURES = tuple(_TABLE)
+
+
+def _entry(figure: int) -> _Figure:
+    if figure not in _TABLE:
+        raise ValidationError(f"figure must be one of {FIGURES}, got {figure}")
+    return _TABLE[figure]
 
 
 def figure_table(figure: int, radio: RadioParams, field: EventField) -> SweepTable:
-    spec = default_spec(figure, radio, field)
-    return _SWEEP_FNS[figure](spec)
+    """The figure's rows `(x, *series, *outputs)`, series innermost."""
+    fig = _entry(figure)
+    rows = tuple(
+        (x, *s, *fig.relation(x, s, radio, field)) for x in fig.grid() for s in fig.series
+    )
+    metadata = {
+        "figure": figure,
+        "axis": fig.axis,
+        "start": fig.start,
+        "stop": fig.stop,
+        "points": fig.points,
+        "spacing": "logarithmic" if fig.log else "linear",
+        "p_t_w": radio.p_t.watts,
+        "g_t_linear": radio.g_t.linear,
+        "g_r_linear": radio.g_r.linear,
+        "f_hz": radio.f.hertz,
+        "v_min_v": radio.v_min.volts,
+        "r_r_ohm": radio.r_r.ohms,
+        "r_l_ohm": radio.r_l.ohms,
+        "field_width_m": field.width,
+        "field_height_m": field.height,
+    }
+    return SweepTable(columns=fig.columns, rows=rows, metadata=metadata)
 
 
 def figure_plot_options(figure: int) -> PlotOptions:
-    if figure not in _PLOT_OPTIONS:
-        raise ValidationError(f"figure must be one of {FIGURES}, got {figure}")
-    return _PLOT_OPTIONS[figure]
+    return _entry(figure).plot

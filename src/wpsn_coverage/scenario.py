@@ -24,7 +24,6 @@ from .coverage import EventField
 from .deployment import Strategy
 from .link_budget import RadioParams
 from .quantities import ValidationError
-from .sweep_report import Axis, Spacing
 
 
 class ScenarioError(ValidationError):
@@ -94,17 +93,11 @@ _SCHEMA = {
     "field_width_m": ("field_width_m", "length"),
     "field_height_m": ("field_height_m", "length"),
     "field_area_m2": ("field_area_m2", "area"),
-    "strategy": ("strategy", "enum:strategy"),
+    "strategy": ("strategy", "strategy"),
     "sources": ("sources", "points"),
     "r_rf_m": ("r_rf_m", "length"),
     "node_count": ("node_count", "int"),
     "node_seed": ("node_seed", "int"),
-    "sweep_axis": ("sweep_axis", "enum:axis"),
-    "sweep_start": ("sweep_start", "plain"),
-    "sweep_stop": ("sweep_stop", "plain"),
-    "sweep_points": ("sweep_points", "int"),
-    "sweep_spacing": ("sweep_spacing", "enum:spacing"),
-    "sweep_series": ("sweep_series", "floats"),
 }
 
 
@@ -128,12 +121,6 @@ class Scenario:
     r_rf_m: float | None = None
     node_count: int | None = None
     node_seed: int | None = None
-    sweep_axis: Axis | None = None
-    sweep_start: float | None = None
-    sweep_stop: float | None = None
-    sweep_points: int | None = None
-    sweep_spacing: Spacing | None = None
-    sweep_series: tuple[float, ...] | None = None
 
     def __post_init__(self):
         if self.p_t_w is not None and self.eirp_product_w is not None:
@@ -203,17 +190,11 @@ def _parse_value(key: str, kind: str, raw: str):
             raise UnitError(f"{key}: expected an integer, got {raw!r}") from None
     if kind == "points":
         return _parse_points(raw, key)
-    if kind == "floats":
+    if kind == "strategy":
         try:
-            return tuple(float(tok) for tok in raw.split(",") if tok.strip())
+            return Strategy(raw.strip())
         except ValueError:
-            raise UnitError(f"{key}: expected comma-separated numbers, got {raw!r}") from None
-    if kind.startswith("enum:"):
-        enum_cls = {"strategy": Strategy, "axis": Axis, "spacing": Spacing}[kind[5:]]
-        try:
-            return enum_cls(raw.strip())
-        except ValueError:
-            valid = ", ".join(e.value for e in enum_cls)
+            valid = ", ".join(e.value for e in Strategy)
             raise UnitError(f"{key}: {raw.strip()!r} is not one of {valid}") from None
     value = parse_magnitude(raw, kind, key)
     if not math.isfinite(value):
@@ -248,12 +229,10 @@ def serialize_scenario(scenario: Scenario) -> str:
         value = getattr(scenario, f.name)
         if value is None:
             continue
-        if isinstance(value, (Strategy, Axis, Spacing)):
+        if isinstance(value, Strategy):
             rendered = value.value
         elif f.name == "sources":
             rendered = "; ".join(f"{x!r},{y!r}" for x, y in value)
-        elif f.name == "sweep_series":
-            rendered = ",".join(repr(v) for v in value)
         elif isinstance(value, int):
             rendered = str(value)
         else:

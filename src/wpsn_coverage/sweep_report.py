@@ -1,75 +1,18 @@
-"""Parameter-sweep engine plus CSV and SVG serializers.
+"""Figure tables and their CSV and SVG serializers.
 
-Each sweep tabulates one design relation (induced voltage vs. received
-power, activation range vs. transmit power, source count vs. power /
-area, required power vs. frequency) over a deterministic grid, with one
-row per (axis value, series value). Serialization is byte-stable:
-identical inputs always produce identical files.
+A `SweepTable` holds named columns, rows of numbers and a metadata dict.
+Serialization is byte-stable: identical inputs always produce identical
+files.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
-from enum import Enum
 
 import numpy as np
 
-from .coverage import EventField, required_power, source_count
-from .link_budget import RadioParams, induced_voltage, max_range
 from .quantities import ValidationError
-
-
-class Axis(str, Enum):
-    RECEIVED_POWER = "received_power"
-    TRANSMIT_POWER = "transmit_power"
-    FREQUENCY = "frequency"
-    AREA = "area"
-
-
-class Spacing(str, Enum):
-    LINEAR = "linear"
-    LOGARITHMIC = "logarithmic"
-
-
-@dataclass(frozen=True)
-class SweepSpec:
-    axis: Axis
-    start: float
-    stop: float
-    points: int
-    spacing: Spacing = Spacing.LINEAR
-    series: tuple = ()
-    radio: RadioParams | None = None
-    field: EventField | None = None
-    include: tuple[float, ...] = ()  # extra axis values merged into the grid
-
-    def __post_init__(self):
-        object.__setattr__(self, "axis", Axis(self.axis))
-        object.__setattr__(self, "spacing", Spacing(self.spacing))
-        object.__setattr__(self, "series", tuple(self.series))
-        object.__setattr__(self, "include", tuple(float(v) for v in self.include))
-        if not math.isfinite(self.start) or not math.isfinite(self.stop):
-            raise ValidationError("sweep bounds must be finite")
-        if self.start >= self.stop:
-            raise ValidationError(
-                f"sweep start must be < stop, got [{self.start}, {self.stop}]"
-            )
-        if self.points < 2:
-            raise ValidationError(f"sweep needs >= 2 points, got {self.points}")
-        if self.spacing is Spacing.LOGARITHMIC and self.start <= 0:
-            raise ValidationError("logarithmic spacing requires start > 0")
-
-    def axis_values(self) -> list[float]:
-        if self.spacing is Spacing.LINEAR:
-            grid = np.linspace(self.start, self.stop, self.points)
-        else:
-            grid = np.logspace(
-                math.log10(self.start), math.log10(self.stop), self.points
-            )
-        values = set(grid.tolist())
-        values.update(v for v in self.include if self.start <= v <= self.stop)
-        return sorted(values)
 
 
 @dataclass(frozen=True)
@@ -84,134 +27,6 @@ class SweepTable:
                 raise ValidationError(
                     f"row arity {len(row)} != {len(self.columns)} columns"
                 )
-
-    def column(self, name: str) -> list[float]:
-        idx = self.columns.index(name)
-        return [row[idx] for row in self.rows]
-
-
-def _require_axis(spec: SweepSpec, axis: Axis) -> None:
-    if spec.axis is not axis:
-        raise ValidationError(f"sweep expects axis={axis.value}, got {spec.axis.value}")
-
-
-def _require_radio(spec: SweepSpec) -> RadioParams:
-    if spec.radio is None:
-        raise ValidationError("sweep spec needs base radio parameters")
-    return spec.radio
-
-
-def _require_field(spec: SweepSpec) -> EventField:
-    if spec.field is None:
-        raise ValidationError("sweep spec needs an event field")
-    return spec.field
-
-
-def _base_metadata(spec: SweepSpec) -> dict:
-    meta: dict = {
-        "axis": spec.axis.value,
-        "start": spec.start,
-        "stop": spec.stop,
-        "points": spec.points,
-        "spacing": spec.spacing.value,
-    }
-    if spec.radio is not None:
-        r = spec.radio
-        meta.update(
-            p_t_w=r.p_t.watts,
-            g_t_linear=r.g_t.linear,
-            g_r_linear=r.g_r.linear,
-            f_hz=r.f.hertz,
-            v_min_v=r.v_min.volts,
-            r_r_ohm=r.r_r.ohms,
-            r_l_ohm=r.r_l.ohms,
-        )
-    if spec.field is not None:
-        meta.update(field_width_m=spec.field.width, field_height_m=spec.field.height)
-    return meta
-
-
-def sweep_voltage_vs_power(spec: SweepSpec) -> SweepTable:
-    """Induced antenna voltage over a received-power grid."""
-    _require_axis(spec, Axis.RECEIVED_POWER)
-    radio = _require_radio(spec)
-    if spec.start < 0:
-        raise ValidationError("received power must be >= 0")
-    rows = []
-    for p_r in spec.axis_values():
-        v = induced_voltage(p_r, radio.r_r, radio.r_l).volts
-        rows.append((p_r, v))
-    return SweepTable(
-        columns=("p_r_w", "v_induced_v"),
-        rows=tuple(rows),
-        metadata={**_base_metadata(spec), "figure": 4},
-    )
-
-
-def sweep_range_vs_power(spec: SweepSpec) -> SweepTable:
-    """Activation range over a transmit-power grid, one series per frequency."""
-    _require_axis(spec, Axis.TRANSMIT_POWER)
-    radio = _require_radio(spec)
-    rows = []
-    for p_t in spec.axis_values():
-        for f_hz in spec.series:
-            r = max_range(radio.with_power(p_t).with_frequency(f_hz)).meters
-            rows.append((p_t, f_hz, r))
-    return SweepTable(
-        columns=("p_t_w", "f_hz", "max_range_m"),
-        rows=tuple(rows),
-        metadata={**_base_metadata(spec), "figure": 5},
-    )
-
-
-def sweep_sources_vs_power(spec: SweepSpec) -> SweepTable:
-    """Source count over a transmit-power grid, one series per frequency."""
-    _require_axis(spec, Axis.TRANSMIT_POWER)
-    radio = _require_radio(spec)
-    field = _require_field(spec)
-    rows = []
-    for p_t in spec.axis_values():
-        for f_hz in spec.series:
-            k = source_count(field, radio.with_power(p_t).with_frequency(f_hz))
-            rows.append((p_t, f_hz, k.exact, float(k.required)))
-    return SweepTable(
-        columns=("p_t_w", "f_hz", "k_exact", "k_required"),
-        rows=tuple(rows),
-        metadata={**_base_metadata(spec), "figure": 6},
-    )
-
-
-def sweep_power_vs_frequency(spec: SweepSpec) -> SweepTable:
-    """Required transmit power over a frequency grid, one series per k."""
-    _require_axis(spec, Axis.FREQUENCY)
-    radio = _require_radio(spec)
-    field = _require_field(spec)
-    rows = []
-    for f_hz in spec.axis_values():
-        for k in spec.series:
-            p = required_power(field, int(k), radio.with_frequency(f_hz)).watts
-            rows.append((f_hz, float(k), p))
-    return SweepTable(
-        columns=("f_hz", "k", "required_power_w"),
-        rows=tuple(rows),
-        metadata={**_base_metadata(spec), "figure": 7},
-    )
-
-
-def sweep_sources_vs_area(spec: SweepSpec) -> SweepTable:
-    """Source count over an area grid, one series per (p_t, f) pair."""
-    _require_axis(spec, Axis.AREA)
-    radio = _require_radio(spec)
-    rows = []
-    for area in spec.axis_values():
-        for p_t, f_hz in spec.series:
-            k = source_count(area, radio.with_power(p_t).with_frequency(f_hz))
-            rows.append((area, p_t, f_hz, k.exact, float(k.required)))
-    return SweepTable(
-        columns=("area_m2", "p_t_w", "f_hz", "k_exact", "k_required"),
-        rows=tuple(rows),
-        metadata={**_base_metadata(spec), "figure": 8},
-    )
 
 
 def _format_number(value) -> str:

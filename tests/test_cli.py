@@ -209,6 +209,23 @@ class TestErrorHandling:
         assert code == 2
         assert err != ""
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["range", "--nodes", "5"],
+            ["range", "--area-m2", "1e4"],
+            ["sources", "--seed", "3"],
+            ["power", "--k", "6", "--strategy", "hex_grid"],
+            ["power", "--k", "6", "--out", "o"],
+            ["sweep", "--figure", "5", "--r-rf-m", "10"],
+        ],
+    )
+    def test_flag_not_read_is_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert "usage" in err and argv[-2] in err
+
     def test_validation_error_exit_1(self, capsys):
         code, _, err = run(capsys, "range", "--f-hz", "-1")
         assert code == 1

@@ -1,7 +1,9 @@
 import pytest
 
+from wpsn_coverage import cli, figures
 from wpsn_coverage.deployment import Strategy
 from wpsn_coverage.scenario import (
+    _SCHEMA,
     ConstraintError,
     Scenario,
     ScenarioParseError,
@@ -12,7 +14,6 @@ from wpsn_coverage.scenario import (
     parse_scenario,
     serialize_scenario,
 )
-from wpsn_coverage.sweep_report import Axis
 
 
 DESIGN_DOC = """\
@@ -102,12 +103,10 @@ class TestParseScenario:
         assert s.sources == ((10.0, 20.0), (30.5, 40.0))
 
     def test_sweep_block(self):
-        s = parse_scenario(
-            "sweep_axis = transmit_power\nsweep_start = 0.1\nsweep_stop = 10\n"
-            "sweep_points = 50\nsweep_spacing = logarithmic\nsweep_series = 5e8,1e9,2e9\n"
-        )
-        assert s.sweep_axis is Axis.TRANSMIT_POWER
-        assert s.sweep_series == (5e8, 1e9, 2e9)
+        # the figure grids are fixed; a sweep key is rejected, not ignored
+        with pytest.raises(UnknownKeyError) as err:
+            parse_scenario("sweep_axis = area\n")
+        assert "sweep_axis" in str(err.value)
 
     def test_width_height_pairing_enforced(self):
         with pytest.raises(ConstraintError):
@@ -128,7 +127,6 @@ class TestRoundTrip:
             "eirp_product_w = 4\nf_hz = 2GHz\n",
             "strategy = hex_grid\nr_rf_m = 13.49\nnode_count = 500\nnode_seed = 7\n",
             "strategy = explicit\nsources = 1.5,2.5; 3,4\n",
-            "sweep_axis = area\nsweep_start = 1e3\nsweep_stop = 1e5\nsweep_points = 50\n",
         ],
     )
     def test_parse_serialize_parse(self, doc):
@@ -157,3 +155,52 @@ class TestOverrides:
         s = parse_scenario("field_width_m = 100\nfield_height_m = 50\n")
         s = apply_overrides(s, field_area_m2=4e4)
         assert s.event_field().area == pytest.approx(4e4)
+
+
+# key -> (other lines the key needs, two values that must give different outputs)
+KEY_EFFECTS = {
+    "p_t_w": ("", "1 W", "2 W"),
+    "eirp_product_w": ("", "4 W", "8 W"),
+    "g_t_dbi": ("", "8.5", "3"),
+    "g_r_dbi": ("", "8.5", "3"),
+    "f_hz": ("", "1 GHz", "2 GHz"),
+    "v_min_v": ("", "100 mV", "200 mV"),
+    "r_r_ohm": ("", "50", "20"),
+    "r_l_ohm": ("", "50", "20"),
+    "field_width_m": ("field_height_m = 100\n", "200", "300"),
+    "field_height_m": ("field_width_m = 200\n", "100", "150"),
+    "field_area_m2": ("", "1e4", "2e4"),
+    "strategy": ("", "square_grid", "hex_grid"),
+    "sources": ("strategy = explicit\nr_rf_m = 10\n", "50,50", "60,60"),
+    "r_rf_m": ("", "10", "12"),
+    "node_count": ("", "100", "200"),
+    "node_seed": ("", "1", "2"),
+}
+
+COMMANDS = (
+    ["range"], ["sources"], ["power", "--k", "6"], ["deploy"], ["interference"],
+    *(["sweep", "--figure", str(n), "--svg"] for n in figures.FIGURES),
+)
+
+
+def _outputs(tmp_path, capsys, doc):
+    """Stdout of every subcommand, then every file they wrote."""
+    scenario, out_dir = tmp_path / "s.scn", tmp_path / "out"
+    scenario.write_text(doc)
+    seen = []
+    for command in COMMANDS:
+        writes = command[0] in ("deploy", "interference", "sweep")
+        out = ["--out", str(out_dir)] if writes else []
+        argv = [*command, "--scenario", str(scenario), *out]
+        assert cli.main(argv) == 0, capsys.readouterr().err
+        seen.append(capsys.readouterr().out)
+    seen += [(p.name, p.read_bytes()) for p in sorted(out_dir.iterdir())]
+    return seen
+
+
+@pytest.mark.parametrize("key", sorted(_SCHEMA))
+def test_every_key_takes_effect(tmp_path, capsys, key):
+    context, a, b = KEY_EFFECTS[key]
+    first = _outputs(tmp_path, capsys, f"{context}{key} = {a}\n")
+    second = _outputs(tmp_path, capsys, f"{context}{key} = {b}\n")
+    assert first != second

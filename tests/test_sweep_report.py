@@ -4,23 +4,16 @@ import random
 
 import pytest
 
+from wpsn_coverage import figures
 from wpsn_coverage.coverage import EventField, source_count
-from wpsn_coverage.link_budget import RadioParams, induced_voltage, max_range
+from wpsn_coverage.link_budget import RadioParams, max_range
 from wpsn_coverage.quantities import ValidationError
 from wpsn_coverage.sweep_report import (
-    Axis,
     PlotOptions,
-    Spacing,
-    SweepSpec,
     SweepTable,
     parse_csv,
     render_csv,
     render_svg,
-    sweep_power_vs_frequency,
-    sweep_range_vs_power,
-    sweep_sources_vs_area,
-    sweep_sources_vs_power,
-    sweep_voltage_vs_power,
     write_csv,
 )
 
@@ -36,42 +29,18 @@ def series_of(table, col_names, key):
     return [row for row in table.rows if tuple(row[i] for i in idx) == key]
 
 
-class TestSweepSpec:
-    def test_rejects_reversed_bounds(self):
-        with pytest.raises(ValidationError):
-            SweepSpec(axis=Axis.AREA, start=10.0, stop=1.0, points=5)
-
-    def test_rejects_single_point(self):
-        with pytest.raises(ValidationError):
-            SweepSpec(axis=Axis.AREA, start=1.0, stop=10.0, points=1)
-
-    def test_log_spacing_needs_positive_start(self):
-        with pytest.raises(ValidationError):
-            SweepSpec(
-                axis=Axis.AREA, start=0.0, stop=10.0, points=5,
-                spacing=Spacing.LOGARITHMIC,
-            )
-
+class TestGrid:
     def test_include_values_merged_sorted(self):
-        spec = SweepSpec(
-            axis=Axis.AREA, start=0.0, stop=10.0, points=3, include=(7.3,)
-        )
-        assert spec.axis_values() == [0.0, 5.0, 7.3, 10.0]
-
-    def test_wrong_axis_rejected_by_sweeps(self):
-        spec = SweepSpec(axis=Axis.AREA, start=1.0, stop=2.0, points=2, radio=DESIGN_RADIO)
-        with pytest.raises(ValidationError):
-            sweep_voltage_vs_power(spec)
+        table = figures.figure_table(5, DESIGN_RADIO, FIELD)
+        powers = [row[0] for row in table.rows]
+        assert 1.0 in powers and 4.0 in powers
+        assert powers == sorted(powers)
 
 
 class TestVoltageVsPower:
     @pytest.fixture
     def table(self):
-        spec = SweepSpec(
-            axis=Axis.RECEIVED_POWER, start=0.0, stop=1e-4, points=50,
-            include=(1.25e-5,), radio=DESIGN_RADIO,
-        )
-        return sweep_voltage_vs_power(spec)
+        return figures.figure_table(4, DESIGN_RADIO, FIELD)
 
     def test_anchor_row(self, table):
         row = [r for r in table.rows if r[0] == 1.25e-5]
@@ -92,12 +61,7 @@ class TestVoltageVsPower:
 class TestRangeVsPower:
     @pytest.fixture
     def table(self):
-        spec = SweepSpec(
-            axis=Axis.TRANSMIT_POWER, start=0.1, stop=10.0, points=50,
-            spacing=Spacing.LOGARITHMIC, series=FREQS, include=(1.0, 4.0),
-            radio=EIRP_RADIO,
-        )
-        return sweep_range_vs_power(spec)
+        return figures.figure_table(5, EIRP_RADIO, FIELD)
 
     def test_paper_anchor_row(self, table):
         rows = [r for r in table.rows if r[0] == 4.0 and r[1] == 1e9]
@@ -125,12 +89,7 @@ class TestRangeVsPower:
 class TestSourcesVsPower:
     @pytest.fixture
     def table(self):
-        spec = SweepSpec(
-            axis=Axis.TRANSMIT_POWER, start=0.1, stop=10.0, points=50,
-            spacing=Spacing.LOGARITHMIC, series=FREQS, include=(1.0, 4.0),
-            radio=DESIGN_RADIO, field=FIELD,
-        )
-        return sweep_sources_vs_power(spec)
+        return figures.figure_table(6, DESIGN_RADIO, FIELD)
 
     def test_design_anchor_row(self, table):
         rows = [r for r in table.rows if r[0] == 1.0 and r[1] == 1e9]
@@ -158,12 +117,7 @@ class TestSourcesVsPower:
 class TestPowerVsFrequency:
     @pytest.fixture
     def table(self):
-        spec = SweepSpec(
-            axis=Axis.FREQUENCY, start=5e8, stop=2e9, points=50,
-            series=(2.0, 4.0, 6.0, 8.0, 10.0), include=(1e9,),
-            radio=DESIGN_RADIO, field=FIELD,
-        )
-        return sweep_power_vs_frequency(spec)
+        return figures.figure_table(7, DESIGN_RADIO, FIELD)
 
     def test_anchor_row(self, table):
         rows = [r for r in table.rows if r[0] == 1e9 and r[1] == 6.0]
@@ -189,12 +143,7 @@ class TestPowerVsFrequency:
 class TestSourcesVsArea:
     @pytest.fixture
     def table(self):
-        spec = SweepSpec(
-            axis=Axis.AREA, start=1e3, stop=1e5, points=50,
-            series=tuple((1.0, f) for f in FREQS), include=(4e4,),
-            radio=DESIGN_RADIO, field=FIELD,
-        )
-        return sweep_sources_vs_area(spec)
+        return figures.figure_table(8, DESIGN_RADIO, FIELD)
 
     def test_linear_in_area(self, table):
         rows = series_of(table, ("p_t_w", "f_hz"), (1.0, 1e9))
@@ -217,23 +166,14 @@ class TestSourcesVsArea:
 
 class TestRowsReproducible:
     def test_random_rows_match_direct_calls(self):
-        spec = SweepSpec(
-            axis=Axis.TRANSMIT_POWER, start=0.1, stop=10.0, points=50,
-            spacing=Spacing.LOGARITHMIC, series=FREQS,
-            radio=DESIGN_RADIO, field=FIELD,
-        )
-        table = sweep_sources_vs_power(spec)
+        table = figures.figure_table(6, DESIGN_RADIO, FIELD)
         rng = random.Random(1)
         for p_t, f_hz, k_exact, _ in rng.sample(list(table.rows), 100):
             radio = DESIGN_RADIO.with_power(p_t).with_frequency(f_hz)
             assert k_exact == pytest.approx(source_count(FIELD, radio).exact, rel=1e-12)
 
     def test_range_rows_match_direct_calls(self):
-        spec = SweepSpec(
-            axis=Axis.TRANSMIT_POWER, start=0.5, stop=8.0, points=40,
-            series=FREQS, radio=EIRP_RADIO,
-        )
-        table = sweep_range_vs_power(spec)
+        table = figures.figure_table(5, EIRP_RADIO, FIELD)
         rng = random.Random(2)
         for p_t, f_hz, r in rng.sample(list(table.rows), 100):
             radio = EIRP_RADIO.with_power(p_t).with_frequency(f_hz)
@@ -282,11 +222,11 @@ class TestCsv:
 class TestSvg:
     @pytest.fixture
     def table(self):
-        spec = SweepSpec(
-            axis=Axis.TRANSMIT_POWER, start=0.1, stop=10.0, points=20,
-            spacing=Spacing.LOGARITHMIC, series=(1e9,), radio=EIRP_RADIO,
+        # the 1 GHz series of figure 5 only
+        full = figures.figure_table(5, EIRP_RADIO, FIELD)
+        return SweepTable(
+            columns=full.columns, rows=tuple(r for r in full.rows if r[1] == 1e9)
         )
-        return sweep_range_vs_power(spec)
 
     def options(self, **kw):
         return PlotOptions(
