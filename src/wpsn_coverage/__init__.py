@@ -58,7 +58,6 @@ from .sweep_report import (
     write_svg_plot,
 )
 from .scenario import Scenario, load_scenario, parse_scenario, serialize_scenario
-from .kernels import HAVE_COMPILED
 
 __version__ = "0.1.0"
 
@@ -70,7 +69,6 @@ __all__ = [
     "EventField",
     "Frequency",
     "Gain",
-    "HAVE_COMPILED",
     "InterferenceReport",
     "Length",
     "LinkResult",

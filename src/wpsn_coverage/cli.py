@@ -33,7 +33,7 @@ from .scenario import (
     load_scenario,
     parse_magnitude,
 )
-from .sweep_report import SweepTable, write_csv, write_svg_plot, _format_number
+from .sweep_report import SweepTable, write_csv, write_svg_plot
 
 
 class _UsageError(ValidationError):
@@ -197,20 +197,14 @@ def _cmd_interference(args) -> int:
     nodes = _node_field(scenario, dep)
     report = detect_interference(dep, nodes)
     args.out.mkdir(parents=True, exist_ok=True)
-    path = args.out / "interference.csv"
-    lines = [
-        f"# r_rf_m = {_format_number(dep.r_rf)}",
-        f"# strategy = {dep.strategy.value}",
-        "kind,i,j,distance_m",
-    ]
-    for i, j, d in report.source_pairs:
-        lines.append(f"pair,{i},{j},{_format_number(d)}")
-    for idx in report.multi_fed_nodes:
-        lines.append(f"node,{idx},,")
-    try:
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    except OSError as exc:
-        raise OSError(f"cannot write {path}: {exc}") from exc
+    rows = [("pair", i, j, d) for i, j, d in report.source_pairs]
+    rows += [("node", idx, "", "") for idx in report.multi_fed_nodes]
+    _write_rows(
+        args.out / "interference.csv",
+        ("kind", "i", "j", "distance_m"),
+        rows,
+        {"r_rf_m": dep.r_rf, "strategy": dep.strategy.value},
+    )
     print(f"source_pairs {len(report.source_pairs)}")
     print(f"multi_fed_nodes {len(report.multi_fed_nodes)}")
     return 0

@@ -133,24 +133,19 @@ def scatter_nodes(field: EventField, n: int, seed: int) -> NodeField:
     return NodeField(field=field, positions=np.column_stack((xs, ys)), seed=seed)
 
 
+def _index(dep: Deployment, radius: float) -> kernels.CellIndex:
+    sx, sy = dep.sources.T
+    return kernels.CellIndex(sx, sy, radius, dep.field.width, dep.field.height)
+
+
 def _membership(dep: Deployment, nodes: NodeField) -> tuple[np.ndarray, np.ndarray]:
     """CSR (indptr, indices) of the closed source discs each node lies in."""
     if nodes.field != dep.field:
         raise ValidationError("node field does not match deployment field")
-    sx, sy = dep.sources.T.copy()
-    r_sq = dep.r_rf * dep.r_rf
-    chunk = 65536
-    counts = np.zeros(len(nodes.positions), dtype=np.int64)
-    indices = [np.empty(0, dtype=np.intp)]
-    for lo in range(0, len(nodes.positions), chunk):
-        cx, cy = nodes.positions[lo : lo + chunk].T
-        dx = cx[:, None] - sx[None, :]
-        dy = cy[:, None] - sy[None, :]
-        # row-major order keeps each node's sources sorted by index
-        rows, cols = np.divmod(np.flatnonzero(dx * dx + dy * dy <= r_sq), len(sx))
-        counts[lo : lo + cx.size] = np.bincount(rows, minlength=cx.size)
-        indices.append(cols)
-    return np.concatenate(([0], np.cumsum(counts))), np.concatenate(indices)
+    px, py = nodes.positions.T
+    rows, cols = _index(dep, dep.r_rf).hits(px, py)
+    counts = np.bincount(rows, minlength=len(nodes.positions))
+    return np.concatenate(([0], np.cumsum(counts))), cols
 
 
 def coverage_report(dep: Deployment, nodes: NodeField) -> CoverageReport:
@@ -214,12 +209,14 @@ def detect_interference(dep: Deployment, nodes: NodeField) -> InterferenceReport
     # relative slack keeps exactly-touching grid discs (spacing 2r up to
     # fp rounding) out of the overlap list
     threshold = 2.0 * dep.r_rf * (1.0 - 1e-12)
-    # Python floats: indexing array rows in this O(S^2) loop is ~10x slower
+    # the index only prunes, with a slightly wider bound: the decision and
+    # the reported distance come from math.hypot, which np.hypot is not
+    sx, sy = dep.sources.T
+    rows, cols = _index(dep, threshold * (1.0 + 1e-9)).hits(sx, sy)
     sources = dep.sources.tolist()
-    for i in range(len(sources)):
-        xi, yi = sources[i]
-        for j in range(i + 1, len(sources)):
-            xj, yj = sources[j]
+    for i, j in zip(rows.tolist(), cols.tolist()):
+        if i < j:
+            (xi, yi), (xj, yj) = sources[i], sources[j]
             d = math.hypot(xi - xj, yi - yj)
             if d < threshold:
                 pairs.append((i, j, d))

@@ -1,6 +1,7 @@
 """Figure tables and their CSV and SVG serializers.
 
-A `SweepTable` holds named columns, rows of numbers and a metadata dict.
+A `SweepTable` holds named columns, rows of cells and a metadata dict;
+cells and metadata values are numbers or text.
 Serialization is byte-stable: identical inputs always produce identical
 files.
 """
@@ -18,7 +19,7 @@ from .quantities import ValidationError
 @dataclass(frozen=True)
 class SweepTable:
     columns: tuple[str, ...]
-    rows: tuple[tuple[float, ...], ...]
+    rows: tuple[tuple[float | str, ...], ...]
     metadata: dict = dc_field(default_factory=dict)
 
     def __post_init__(self):
@@ -30,8 +31,9 @@ class SweepTable:
 
 
 def _format_number(value) -> str:
-    """Shortest decimal that round-trips; integers without exponent noise."""
-    if isinstance(value, int):
+    """Shortest decimal that round-trips; integers without exponent noise;
+    text as it is."""
+    if isinstance(value, (int, str)):
         return str(value)
     f = float(value)
     if f == int(f) and abs(f) < 1e16:
@@ -43,7 +45,7 @@ def render_csv(table: SweepTable) -> str:
     """CSV text: '#'-prefixed metadata, header, then rows. LF endings."""
     lines = []
     for key in sorted(table.metadata):
-        lines.append(f"# {key} = {_format_number(table.metadata[key]) if isinstance(table.metadata[key], (int, float)) else table.metadata[key]}")
+        lines.append(f"# {key} = {_format_number(table.metadata[key])}")
     lines.append(",".join(table.columns))
     for row in table.rows:
         lines.append(",".join(_format_number(v) for v in row))
@@ -61,26 +63,6 @@ def write_csv(table: SweepTable, destination) -> None:
             fh.write(text)
     except OSError as exc:
         raise OSError(f"cannot write CSV to {destination}: {exc}") from exc
-
-
-def parse_csv(text: str) -> SweepTable:
-    """Inverse of render_csv (metadata values come back as strings)."""
-    metadata: dict = {}
-    header: tuple[str, ...] | None = None
-    rows: list[tuple[float, ...]] = []
-    for line in text.splitlines():
-        if not line:
-            continue
-        if line.startswith("#"):
-            key, _, value = line[1:].partition("=")
-            metadata[key.strip()] = value.strip()
-        elif header is None:
-            header = tuple(line.split(","))
-        else:
-            rows.append(tuple(float(tok) for tok in line.split(",")))
-    if header is None:
-        raise ValidationError("CSV has no header line")
-    return SweepTable(columns=header, rows=tuple(rows), metadata=metadata)
 
 
 _SERIES_COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#ff7f0e", "#9467bd", "#8c564b")

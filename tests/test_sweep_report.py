@@ -11,7 +11,6 @@ from wpsn_coverage.quantities import ValidationError
 from wpsn_coverage.sweep_report import (
     PlotOptions,
     SweepTable,
-    parse_csv,
     render_csv,
     render_svg,
     write_csv,
@@ -195,10 +194,15 @@ class TestCsv:
         assert "a,b" in lines
         assert lines[-1] == "3,1.25e-05"
 
-    def test_round_trip(self, table):
-        back = parse_csv(render_csv(table))
-        assert back.columns == table.columns
-        assert back.rows == table.rows
+    def test_text_cells_pass_through(self):
+        table = SweepTable(
+            columns=("kind", "i", "d"),
+            rows=(("pair", 0, 1.5), ("node", 3, "")),
+            metadata={"strategy": "hex_grid", "r": 2.0},
+        )
+        assert render_csv(table) == (
+            "# r = 2\n# strategy = hex_grid\nkind,i,d\npair,0,1.5\nnode,3,\n"
+        )
 
     def test_deterministic(self, table):
         assert render_csv(table) == render_csv(table)
