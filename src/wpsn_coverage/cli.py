@@ -2,15 +2,17 @@
 
 Subcommands wrap the library one-to-one: `range`, `sources`, `power`,
 `deploy`, `interference`, `sweep`. Precedence is flags > scenario file >
-built-in defaults (the 1 W / 8.5 dBi / 1 GHz / 100 mV / 50+50 ohm /
-4e4 m2 design point). Exit codes: 0 success, 1 validation or parse
-error, 2 I/O error; diagnostics go to stderr only.
+built-in defaults (the design point declared on `Scenario`). A flag
+takes the text of its file key and goes through the same parser. Exit
+codes: 0 success, 1 validation or parse error, 2 I/O error; diagnostics
+go to stderr only.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -27,12 +29,7 @@ from .deployment import (
 )
 from .link_budget import max_range
 from .quantities import ValidationError
-from .scenario import (
-    Scenario,
-    apply_overrides,
-    load_scenario,
-    parse_magnitude,
-)
+from .scenario import Scenario, apply_overrides, load_scenario, parse_value
 from .sweep_report import SweepTable, write_csv, write_svg_plot
 
 
@@ -45,42 +42,31 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.format_usage()}error: {message}")
 
 
-def _magnitude(dimension: str):
-    def parse(raw: str) -> float:
-        return parse_magnitude(raw, dimension, dimension)
-
-    return parse
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="wpsncov", description=__doc__.splitlines()[0])
     # Each subcommand takes only the flags it reads; each parent adds to the one before.
     radio = _Parser(add_help=False)
     radio.add_argument("--scenario", type=Path, help="scenario file (key = value lines)")
-    radio.add_argument("--p-t-w", type=_magnitude("power"), dest="p_t_w")
+    radio.add_argument("--p-t-w", dest="p_t_w")
     radio.add_argument(
-        "--eirp-product-w", type=_magnitude("power"), dest="eirp_product_w",
+        "--eirp-product-w", dest="eirp_product_w",
         help="p_t*g_t*g_r folded into one value (gains become 1)",
     )
-    radio.add_argument("--g-t-dbi", type=float, dest="g_t_dbi")
-    radio.add_argument("--g-r-dbi", type=float, dest="g_r_dbi")
-    radio.add_argument("--f-hz", type=_magnitude("frequency"), dest="f_hz")
-    radio.add_argument("--v-min-v", type=_magnitude("voltage"), dest="v_min_v")
-    radio.add_argument("--r-r-ohm", type=_magnitude("resistance"), dest="r_r_ohm")
-    radio.add_argument("--r-l-ohm", type=_magnitude("resistance"), dest="r_l_ohm")
+    radio.add_argument("--g-t-dbi", dest="g_t_dbi")
+    radio.add_argument("--g-r-dbi", dest="g_r_dbi")
+    radio.add_argument("--f-hz", dest="f_hz")
+    radio.add_argument("--v-min-v", dest="v_min_v")
+    radio.add_argument("--r-r-ohm", dest="r_r_ohm")
+    radio.add_argument("--r-l-ohm", dest="r_l_ohm")
     field = _Parser(add_help=False, parents=[radio])
-    field.add_argument("--area-m2", type=_magnitude("area"), dest="field_area_m2")
+    field.add_argument("--area-m2", dest="field_area_m2")
     output = _Parser(add_help=False, parents=[field])
     output.add_argument("--out", type=Path, default=Path("."), help="output directory")
     placement = _Parser(add_help=False, parents=[output])
-    placement.add_argument(
-        "--seed", type=int, dest="node_seed", help="RNG seed for node scattering"
-    )
-    placement.add_argument("--r-rf-m", type=_magnitude("length"), dest="r_rf_m")
-    placement.add_argument(
-        "--strategy", type=Strategy, choices=[s.value for s in Strategy], dest="strategy"
-    )
-    placement.add_argument("--nodes", type=int, dest="node_count")
+    placement.add_argument("--seed", dest="node_seed", help="RNG seed for node scattering")
+    placement.add_argument("--r-rf-m", dest="r_rf_m")
+    placement.add_argument("--strategy", choices=[s.value for s in Strategy], dest="strategy")
+    placement.add_argument("--nodes", dest="node_count")
 
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("range", parents=[radio], help="print the activation range in meters")
@@ -95,15 +81,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_OVERRIDE_KEYS = (
-    "p_t_w", "eirp_product_w", "g_t_dbi", "g_r_dbi", "f_hz", "v_min_v",
-    "r_r_ohm", "r_l_ohm", "field_area_m2", "r_rf_m", "strategy", "node_count", "node_seed",
-)
-
-
 def _scenario_from_args(args) -> Scenario:
+    """The file's scenario with each scenario flag's text parsed as its key's."""
     scenario = load_scenario(args.scenario) if args.scenario else Scenario()
-    overrides = {key: getattr(args, key, None) for key in _OVERRIDE_KEYS}
+    overrides = {
+        f.name: parse_value(f.name, raw)
+        for f in fields(Scenario)
+        if (raw := getattr(args, f.name, None)) is not None
+    }
     return apply_overrides(scenario, **overrides)
 
 
@@ -114,10 +99,8 @@ def _deployment(scenario: Scenario) -> Deployment:
         if scenario.r_rf_m is not None
         else max_range(scenario.radio()).meters
     )
-    strategy = scenario.strategy or Strategy.SQUARE_GRID
+    strategy = scenario.value("strategy")
     if strategy is Strategy.EXPLICIT:
-        if not scenario.sources:
-            raise ValidationError("explicit strategy requires a sources list")
         return Deployment(
             field=field, sources=scenario.sources, r_rf=r_rf, strategy=strategy
         )
@@ -151,9 +134,7 @@ def _cmd_power(args) -> int:
 
 
 def _node_field(scenario: Scenario, dep: Deployment):
-    count = scenario.node_count if scenario.node_count is not None else 1000
-    seed = scenario.node_seed if scenario.node_seed is not None else 1
-    return scatter_nodes(dep.field, count, seed)
+    return scatter_nodes(dep.field, scenario.value("node_count"), scenario.value("node_seed"))
 
 
 def _cmd_deploy(args) -> int:

@@ -171,7 +171,8 @@ def monte_carlo_coverage(
     The counter-based generator makes the result identical for any worker
     count: each worker evaluates a contiguous block of sample indices and
     the per-index streams never depend on the partition. At most
-    os.cpu_count() threads run.
+    os.cpu_count() threads run, and no more than there are kernel chunks
+    of samples.
     """
     if samples < 1:
         raise ValidationError(f"sample count must be >= 1, got {samples}")
@@ -181,7 +182,7 @@ def monte_carlo_coverage(
         return 0.0
     sx, sy = dep.sources[:, 0], dep.sources[:, 1]
     w, h = dep.field.width, dep.field.height
-    workers = min(workers, os.cpu_count() or 1)
+    workers = min(workers, os.cpu_count() or 1, -(-samples // kernels._CHUNK))
 
     if workers == 1:
         total = kernels.covered_count(seed, 0, samples, w, h, sx, sy, dep.r_rf)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 
 from .coverage import EventField
 from .deployment import Strategy
@@ -80,90 +80,87 @@ def parse_magnitude(raw: str, dimension: str, key: str) -> float:
     return value * table[suffix]
 
 
-_SCHEMA = {
-    # key: (field name, kind); kind drives parsing
-    "p_t_w": ("p_t_w", "power"),
-    "eirp_product_w": ("eirp_product_w", "power"),
-    "g_t_dbi": ("g_t_dbi", "plain"),
-    "g_r_dbi": ("g_r_dbi", "plain"),
-    "f_hz": ("f_hz", "frequency"),
-    "v_min_v": ("v_min_v", "voltage"),
-    "r_r_ohm": ("r_r_ohm", "resistance"),
-    "r_l_ohm": ("r_l_ohm", "resistance"),
-    "field_width_m": ("field_width_m", "length"),
-    "field_height_m": ("field_height_m", "length"),
-    "field_area_m2": ("field_area_m2", "area"),
-    "strategy": ("strategy", "strategy"),
-    "sources": ("sources", "points"),
-    "r_rf_m": ("r_rf_m", "length"),
-    "node_count": ("node_count", "int"),
-    "node_seed": ("node_seed", "int"),
-}
+def _key(kind: str, default=None):
+    """A scenario key: its parser kind and built-in default, if it has one."""
+    return field(default=None, metadata={"kind": kind, "default": default})
 
 
 @dataclass(frozen=True)
 class Scenario:
-    """Fully validated scenario; None means "use the built-in default"."""
+    """Fully validated scenario; None means "use the built-in default".
 
-    p_t_w: float | None = None
-    eirp_product_w: float | None = None
-    g_t_dbi: float | None = None
-    g_r_dbi: float | None = None
-    f_hz: float | None = None
-    v_min_v: float | None = None
-    r_r_ohm: float | None = None
-    r_l_ohm: float | None = None
-    field_width_m: float | None = None
-    field_height_m: float | None = None
-    field_area_m2: float | None = None
-    strategy: Strategy | None = None
-    sources: tuple[tuple[float, float], ...] | None = None
-    r_rf_m: float | None = None
-    node_count: int | None = None
-    node_seed: int | None = None
+    Each field is one scenario key and one CLI flag; its metadata holds
+    the parser kind and the built-in default.
+    """
+
+    p_t_w: float | None = _key("power", 1.0)
+    eirp_product_w: float | None = _key("power")
+    g_t_dbi: float | None = _key("plain", 8.5)
+    g_r_dbi: float | None = _key("plain", 8.5)
+    f_hz: float | None = _key("frequency", 1e9)
+    v_min_v: float | None = _key("voltage", 0.1)
+    r_r_ohm: float | None = _key("resistance", 50.0)
+    r_l_ohm: float | None = _key("resistance", 50.0)
+    field_width_m: float | None = _key("length")
+    field_height_m: float | None = _key("length")
+    field_area_m2: float | None = _key("area", 4.0e4)
+    strategy: Strategy | None = _key("strategy", Strategy.SQUARE_GRID)
+    sources: tuple[tuple[float, float], ...] | None = _key("points")
+    r_rf_m: float | None = _key("length")  # default: max_range of the radio
+    node_count: int | None = _key("int", 1000)
+    node_seed: int | None = _key("int", 1)
 
     def __post_init__(self):
-        if self.p_t_w is not None and self.eirp_product_w is not None:
-            raise ConstraintError(
-                "p_t_w and eirp_product_w are mutually exclusive; give one"
-            )
+        for side, other in _EXCLUSIVE:
+            if self._given(side) and self._given(other):
+                raise ConstraintError(
+                    f"give {'/'.join(side)} or {'/'.join(other)}, not both"
+                )
         if (self.field_width_m is None) != (self.field_height_m is None):
             raise ConstraintError(
                 "field_width_m and field_height_m must be given together"
             )
-        if self.field_width_m is not None and self.field_area_m2 is not None:
-            raise ConstraintError(
-                "give field_width_m/field_height_m or field_area_m2, not both"
-            )
+        explicit = self.strategy is Strategy.EXPLICIT
+        if explicit and not self.sources:
+            raise ConstraintError("strategy = explicit requires a sources list")
+        if self.sources is not None and not explicit:
+            raise ConstraintError("sources requires strategy = explicit")
+
+    def _given(self, keys) -> bool:
+        return any(getattr(self, key) is not None for key in keys)
+
+    def value(self, key: str):
+        """The key's value, or its built-in default when unset."""
+        value = getattr(self, key)
+        return _FIELDS[key].metadata["default"] if value is None else value
 
     def radio(self) -> RadioParams:
         """RadioParams with the built-in defaults filled in.
 
-        Defaults: p_t = 1 W, 8.5 dBi per antenna, f = 1 GHz,
-        v_min = 100 mV, 50 + 50 ohm. With eirp_product_w the gains are
-        treated as folded into the product.
+        eirp_product_w folds p_t and both gains into one value.
         """
-        kwargs = dict(
-            f_hz=self.f_hz if self.f_hz is not None else 1e9,
-            v_min_v=self.v_min_v if self.v_min_v is not None else 0.1,
-            r_r_ohm=self.r_r_ohm if self.r_r_ohm is not None else 50.0,
-            r_l_ohm=self.r_l_ohm if self.r_l_ohm is not None else 50.0,
-        )
+        kwargs = {k: self.value(k) for k in ("f_hz", "v_min_v", "r_r_ohm", "r_l_ohm")}
         if self.eirp_product_w is not None:
             return RadioParams.from_eirp_product(self.eirp_product_w, **kwargs)
-        return RadioParams.from_si(
-            p_t_w=self.p_t_w if self.p_t_w is not None else 1.0,
-            g_t_dbi=self.g_t_dbi if self.g_t_dbi is not None else 8.5,
-            g_r_dbi=self.g_r_dbi if self.g_r_dbi is not None else 8.5,
-            **kwargs,
-        )
+        for key in ("p_t_w", "g_t_dbi", "g_r_dbi"):
+            kwargs[key] = self.value(key)
+        return RadioParams.from_si(**kwargs)
 
     def event_field(self) -> EventField:
-        """Event field; defaults to the 4e4 m2 square design point."""
+        """Event field: width x height, else a square of field_area_m2."""
         if self.field_width_m is not None:
             return EventField(self.field_width_m, self.field_height_m)
-        area = self.field_area_m2 if self.field_area_m2 is not None else 4.0e4
-        return EventField.square_from_area(area)
+        return EventField.square_from_area(self.value("field_area_m2"))
+
+
+_FIELDS = {f.name: f for f in fields(Scenario)}
+
+# Keys on both sides of a row conflict. A flag on one side displaces the
+# file's keys on the other, but never a key that is itself a flag.
+_EXCLUSIVE = (
+    (("p_t_w", "g_t_dbi", "g_r_dbi"), ("eirp_product_w",)),
+    (("field_width_m", "field_height_m"), ("field_area_m2",)),
+)
 
 
 def _parse_points(raw: str, key: str) -> tuple[tuple[float, float], ...]:
@@ -182,7 +179,9 @@ def _parse_points(raw: str, key: str) -> tuple[tuple[float, float], ...]:
     return tuple(points)
 
 
-def _parse_value(key: str, kind: str, raw: str):
+def parse_value(key: str, raw: str):
+    """Parse the text of one scenario key, from a file line or a flag."""
+    kind = _FIELDS[key].metadata["kind"]
     if kind == "int":
         try:
             return int(raw.strip())
@@ -213,12 +212,11 @@ def parse_scenario(text: str) -> Scenario:
         if not sep:
             raise ScenarioParseError(f"line {lineno}: expected 'key = value', got {line!r}")
         key = key.strip()
-        if key not in _SCHEMA:
+        if key not in _FIELDS:
             raise UnknownKeyError(f"line {lineno}: unknown key {key!r}")
-        field_name, kind = _SCHEMA[key]
-        if field_name in values:
+        if key in values:
             raise ScenarioParseError(f"line {lineno}: duplicate key {key!r}")
-        values[field_name] = _parse_value(key, kind, raw.strip())
+        values[key] = parse_value(key, raw.strip())
     return Scenario(**values)
 
 
@@ -249,14 +247,18 @@ def load_scenario(path) -> Scenario:
 def apply_overrides(scenario: Scenario, **overrides) -> Scenario:
     """Flag-level overrides; None values are ignored.
 
-    An explicit p_t_w/eirp_product_w override displaces the other key so
-    flags always win over the file.
+    Flags win over the file: an override on one side of an exclusive
+    group clears the file's keys on the other side, and a grid strategy
+    clears the file's sources. An overridden key is never cleared, so two
+    conflicting overrides still raise ConstraintError.
     """
     updates = {k: v for k, v in overrides.items() if v is not None}
-    if "p_t_w" in updates and scenario.eirp_product_w is not None:
-        scenario = replace(scenario, eirp_product_w=None)
-    if "eirp_product_w" in updates and scenario.p_t_w is not None:
-        scenario = replace(scenario, p_t_w=None)
-    if "field_area_m2" in updates and scenario.field_width_m is not None:
-        scenario = replace(scenario, field_width_m=None, field_height_m=None)
-    return replace(scenario, **updates)
+    displaced = set()
+    for group in _EXCLUSIVE:
+        for side, other in (group, group[::-1]):
+            if updates.keys() & side:
+                displaced.update(other)
+    if "strategy" in updates and updates["strategy"] is not Strategy.EXPLICIT:
+        displaced.add("sources")
+    cleared = dict.fromkeys(displaced - updates.keys())
+    return replace(scenario, **cleared, **updates)

@@ -54,7 +54,10 @@ def render_csv(table: SweepTable) -> str:
 
 def write_csv(table: SweepTable, destination) -> None:
     """Write the table to a path or text stream."""
-    text = render_csv(table)
+    _write_text(render_csv(table), destination, "CSV")
+
+
+def _write_text(text: str, destination, what: str) -> None:
     if hasattr(destination, "write"):
         destination.write(text)
         return
@@ -62,7 +65,7 @@ def write_csv(table: SweepTable, destination) -> None:
         with open(destination, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
     except OSError as exc:
-        raise OSError(f"cannot write CSV to {destination}: {exc}") from exc
+        raise OSError(f"cannot write {what} to {destination}: {exc}") from exc
 
 
 _SERIES_COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#ff7f0e", "#9467bd", "#8c564b")
@@ -190,12 +193,4 @@ def render_svg(table: SweepTable, options: PlotOptions) -> str:
 
 def write_svg_plot(table: SweepTable, options: PlotOptions, destination) -> None:
     """Write an SVG rendering of the table to a path or text stream."""
-    text = render_svg(table, options)
-    if hasattr(destination, "write"):
-        destination.write(text)
-        return
-    try:
-        with open(destination, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise OSError(f"cannot write SVG to {destination}: {exc}") from exc
+    _write_text(render_svg(table, options), destination, "SVG")

@@ -1,10 +1,19 @@
+import argparse
 import math
+import shlex
+from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
 from wpsn_coverage import cli
 from wpsn_coverage.coverage import EventField, source_count
+from wpsn_coverage.deployment import Strategy, place_sources
 from wpsn_coverage.link_budget import RadioParams, max_range
+from wpsn_coverage.quantities import ValidationError
+from wpsn_coverage.scenario import Scenario, parse_scenario
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 ANCHOR_SCENARIO = "eirp_product_w = 4\nf_hz = 2GHz\nv_min_v = 100mV\n"
@@ -230,3 +239,91 @@ class TestErrorHandling:
         code, _, err = run(capsys, "range", "--f-hz", "-1")
         assert code == 1
         assert err != ""
+
+
+def _deploy_flags():
+    """(flag, dest) of each scenario flag; deploy takes all of them."""
+    parser = cli.build_parser()
+    (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return [
+        (action.option_strings[0], action.dest)
+        for action in sub.choices["deploy"]._actions
+        if action.dest not in ("help", "scenario", "out")
+    ]
+
+
+def test_scenario_flags_store_scenario_keys():
+    # overrides are read by field name: a misspelt dest would drop its flag
+    keys = {f.name for f in fields(Scenario)}
+    flags = _deploy_flags()
+    assert len(flags) == 13
+    assert all(dest in keys for _, dest in flags)
+
+
+PARITY_TEXTS = ("8.5", "8.5 dBi", "1_0", "1e999", "-1", "30dBm", " 12", "2GHz", "hex_grid")
+
+
+@pytest.mark.parametrize("flag,key", _deploy_flags())
+def test_flag_parses_like_file_key(flag, key):
+    def outcome(make):
+        try:
+            return make()
+        except ValidationError:
+            return ValidationError
+
+    mismatched = []
+    for text in PARITY_TEXTS:
+        from_flag = outcome(
+            lambda: cli._scenario_from_args(cli.build_parser().parse_args(["deploy", flag, text]))
+        )
+        from_file = outcome(lambda: parse_scenario(f"{key} = {text}\n"))
+        if from_flag != from_file:
+            mismatched.append((text, from_flag, from_file))
+    assert mismatched == []
+
+
+class TestFlagsAgainstFile:
+    def test_gain_flag_displaces_eirp_product(self, capsys, anchor_file):
+        code, out, err = run(
+            capsys, "range", "--scenario", str(anchor_file), "--g-t-dbi", "20"
+        )
+        assert code == 0, err
+        assert float(out) == max_range(RadioParams.from_si(1.0, 20.0, 8.5, 2e9)).meters
+
+    def test_grid_strategy_displaces_sources(self, capsys, tmp_path):
+        scenario = tmp_path / "explicit.scn"
+        scenario.write_text(
+            "field_area_m2 = 1e4\nstrategy = explicit\nsources = 10,10; 30,30\n"
+            "r_rf_m = 15\n"
+        )
+        out_dir = tmp_path / "o"
+        code, out, err = run(
+            capsys, "deploy", "--scenario", str(scenario), "--out", str(out_dir),
+            "--strategy", "hex_grid",
+        )
+        assert code == 0, err
+        hex_grid = place_sources(EventField(100.0, 100.0), 15.0, Strategy.HEX_GRID)
+        assert f"sources {len(hex_grid.sources)}\n" in out
+        assert "# strategy = hex_grid" in (out_dir / "placement.csv").read_text()
+
+    def test_conflicting_flags_rejected(self, capsys):
+        code, out, err = run(capsys, "range", "--p-t-w", "1", "--eirp-product-w", "4")
+        assert code == 1
+        assert out == ""
+        assert "eirp_product_w" in err
+
+
+def _readme_commands():
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = text.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line, comments=True) for line in block.splitlines() if line.strip()]
+
+
+@pytest.mark.parametrize("argv", _readme_commands(), ids=lambda argv: " ".join(argv[1:3]))
+def test_readme_command_runs(capsys, monkeypatch, tmp_path, argv):
+    assert argv[0] == "wpsncov"
+    argv = argv[1:]
+    if "--out" in argv:
+        argv[argv.index("--out") + 1] = str(tmp_path)
+    monkeypatch.chdir(ROOT)
+    assert cli.main(argv) == 0, capsys.readouterr().err

@@ -194,7 +194,9 @@ class TestMonteCarloCoverage:
         with pytest.raises(ValidationError):
             monte_carlo_coverage(dep, 1000, seed=0, workers=workers)
 
-    def test_pool_capped_at_cpu_count(self, monkeypatch):
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        """Pool sizes started by monte_carlo_coverage; its spans run inline."""
         from concurrent.futures import Executor
 
         from wpsn_coverage import deployment
@@ -209,10 +211,25 @@ class TestMonteCarloCoverage:
                 return map(fn, *iterables)
 
         monkeypatch.setattr(deployment, "ThreadPoolExecutor", InlineExecutor)
+        return seen
+
+    def test_pool_capped_at_cpu_count(self, pools):
         dep = place_sources(EventField(100.0, 100.0), 10.0, Strategy.HEX_GRID)
         sequential = monte_carlo_coverage(dep, 1000, seed=5, workers=1)
         assert monte_carlo_coverage(dep, 1000, seed=5, workers=10**6) == sequential
-        assert all(m <= os.cpu_count() for m in seen)
+        assert all(m <= os.cpu_count() for m in pools)
+
+    def test_pool_capped_at_sample_chunks(self, pools, monkeypatch):
+        from wpsn_coverage import kernels
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        dep = place_sources(EventField(100.0, 100.0), 10.0, Strategy.HEX_GRID)
+        monte_carlo_coverage(dep, 4096, seed=5, workers=4)
+        assert pools == []
+        samples = 3 * kernels._CHUNK
+        sequential = monte_carlo_coverage(dep, samples, seed=5, workers=1)
+        assert monte_carlo_coverage(dep, samples, seed=5, workers=8) == sequential
+        assert pools == [3]
 
     def test_agrees_with_membership_on_same_samples(self):
         field = EventField(120.0, 120.0)

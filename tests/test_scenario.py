@@ -1,9 +1,10 @@
+from dataclasses import fields
+
 import pytest
 
 from wpsn_coverage import cli, figures
 from wpsn_coverage.deployment import Strategy
 from wpsn_coverage.scenario import (
-    _SCHEMA,
     ConstraintError,
     Scenario,
     ScenarioParseError,
@@ -112,6 +113,20 @@ class TestParseScenario:
         with pytest.raises(ConstraintError):
             parse_scenario("field_width_m = 100\n")
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            "eirp_product_w = 4\ng_t_dbi = 3\n",
+            "eirp_product_w = 4\ng_r_dbi = 3\n",
+            "sources = 10,10\n",
+            "strategy = hex_grid\nsources = 10,10; 30,30\n",
+            "strategy = explicit\n",
+        ],
+    )
+    def test_key_without_effect_rejected(self, doc):
+        with pytest.raises(ConstraintError):
+            parse_scenario(doc)
+
     def test_eirp_product_radio(self):
         s = parse_scenario("eirp_product_w = 4\nf_hz = 2GHz\n")
         radio = s.radio()
@@ -150,6 +165,15 @@ class TestOverrides:
     def test_none_overrides_ignored(self):
         s = parse_scenario(DESIGN_DOC)
         assert apply_overrides(s, f_hz=None) == s
+
+    def test_grid_strategy_override_displaces_sources(self):
+        s = parse_scenario("strategy = explicit\nsources = 10,10\n")
+        s = apply_overrides(s, strategy=Strategy.HEX_GRID)
+        assert s.sources is None
+
+    def test_overrides_never_displace_each_other(self):
+        with pytest.raises(ConstraintError):
+            apply_overrides(Scenario(), p_t_w=1.0, eirp_product_w=4.0)
 
     def test_area_override_displaces_rectangle(self):
         s = parse_scenario("field_width_m = 100\nfield_height_m = 50\n")
@@ -198,7 +222,7 @@ def _outputs(tmp_path, capsys, doc):
     return seen
 
 
-@pytest.mark.parametrize("key", sorted(_SCHEMA))
+@pytest.mark.parametrize("key", sorted(f.name for f in fields(Scenario)))
 def test_every_key_takes_effect(tmp_path, capsys, key):
     context, a, b = KEY_EFFECTS[key]
     first = _outputs(tmp_path, capsys, f"{context}{key} = {a}\n")
