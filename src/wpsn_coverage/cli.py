@@ -21,6 +21,7 @@ from . import figures
 from .coverage import source_count, required_power
 from .deployment import (
     Deployment,
+    NodeField,
     Strategy,
     detect_interference,
     coverage_report,
@@ -65,7 +66,8 @@ def build_parser() -> argparse.ArgumentParser:
     placement = _Parser(add_help=False, parents=[output])
     placement.add_argument("--seed", dest="node_seed", help="RNG seed for node scattering")
     placement.add_argument("--r-rf-m", dest="r_rf_m")
-    placement.add_argument("--strategy", choices=[s.value for s in Strategy], dest="strategy")
+    strategies = ",".join(s.value for s in Strategy)
+    placement.add_argument("--strategy", dest="strategy", metavar=f"{{{strategies}}}")
     placement.add_argument("--nodes", dest="node_count")
 
     sub = parser.add_subparsers(dest="command", required=True)
@@ -92,55 +94,39 @@ def _scenario_from_args(args) -> Scenario:
     return apply_overrides(scenario, **overrides)
 
 
-def _deployment(scenario: Scenario) -> Deployment:
+def _deployment(scenario: Scenario) -> tuple[Deployment, NodeField]:
     field = scenario.event_field()
-    r_rf = (
-        scenario.r_rf_m
-        if scenario.r_rf_m is not None
-        else max_range(scenario.radio()).meters
-    )
+    r_rf = scenario.r_rf_m
+    if r_rf is None:
+        r_rf = max_range(scenario.radio()).meters
     strategy = scenario.value("strategy")
     if strategy is Strategy.EXPLICIT:
-        return Deployment(
-            field=field, sources=scenario.sources, r_rf=r_rf, strategy=strategy
-        )
-    return place_sources(field, r_rf, strategy)
+        dep = Deployment(field=field, sources=scenario.sources, r_rf=r_rf, strategy=strategy)
+    else:
+        dep = place_sources(field, r_rf, strategy)
+    return dep, scatter_nodes(dep.field, scenario.value("node_count"), scenario.value("node_seed"))
 
 
-def _write_rows(path: Path, columns, rows, metadata) -> None:
-    table = SweepTable(columns=tuple(columns), rows=tuple(rows), metadata=metadata)
-    write_csv(table, path)
-
-
-def _cmd_range(args) -> int:
-    scenario = _scenario_from_args(args)
+def _cmd_range(args, scenario: Scenario) -> int:
     print(repr(max_range(scenario.radio()).meters))
     return 0
 
 
-def _cmd_sources(args) -> int:
-    scenario = _scenario_from_args(args)
+def _cmd_sources(args, scenario: Scenario) -> int:
     k = source_count(scenario.event_field(), scenario.radio())
     print(f"exact {k.exact!r}")
     print(f"required {k.required}")
     return 0
 
 
-def _cmd_power(args) -> int:
-    scenario = _scenario_from_args(args)
+def _cmd_power(args, scenario: Scenario) -> int:
     p = required_power(scenario.event_field(), args.k, scenario.radio())
     print(repr(p.watts))
     return 0
 
 
-def _node_field(scenario: Scenario, dep: Deployment):
-    return scatter_nodes(dep.field, scenario.value("node_count"), scenario.value("node_seed"))
-
-
-def _cmd_deploy(args) -> int:
-    scenario = _scenario_from_args(args)
-    dep = _deployment(scenario)
-    nodes = _node_field(scenario, dep)
+def _cmd_deploy(args, scenario: Scenario) -> int:
+    dep, nodes = _deployment(scenario)
     report = coverage_report(dep, nodes)
     args.out.mkdir(parents=True, exist_ok=True)
     meta = {
@@ -150,58 +136,52 @@ def _cmd_deploy(args) -> int:
         "field_height_m": dep.field.height,
         "node_seed": nodes.seed,
     }
-    _write_rows(
-        args.out / "placement.csv",
-        ("source", "x_m", "y_m"),
-        np.column_stack((np.arange(len(dep.sources)), dep.sources)).tolist(),
-        meta,
+    placement = SweepTable(
+        columns=("source", "x_m", "y_m"),
+        data=(np.arange(len(dep.sources)), *dep.sources.T),
+        metadata=meta,
     )
+    write_csv(placement, args.out / "placement.csv")
     fed = np.diff(report.indptr) > 0
-    first_source = np.full(len(fed), -1.0)
+    first_source = np.full(len(fed), -1, dtype=np.int64)
     first_source[fed] = report.indices[report.indptr[:-1][fed]]
-    _write_rows(
-        args.out / "coverage.csv",
-        ("node", "x_m", "y_m", "covered", "first_source"),
-        np.column_stack(
-            (np.arange(len(fed)), nodes.positions, fed, first_source)
-        ).tolist(),
-        {**meta, "covered_count": report.covered_count, "total_count": report.total_count},
+    coverage = SweepTable(
+        columns=("node", "x_m", "y_m", "covered", "first_source"),
+        data=(np.arange(len(fed)), *nodes.positions.T, fed.astype(np.int64), first_source),
+        metadata={**meta, "covered_count": report.covered_count, "total_count": report.total_count},
     )
+    write_csv(coverage, args.out / "coverage.csv")
     print(f"sources {len(dep.sources)}")
     print(f"coverage_fraction {report.coverage_fraction!r}")
     return 0
 
 
-def _cmd_interference(args) -> int:
-    scenario = _scenario_from_args(args)
-    dep = _deployment(scenario)
-    nodes = _node_field(scenario, dep)
+def _cmd_interference(args, scenario: Scenario) -> int:
+    dep, nodes = _deployment(scenario)
     report = detect_interference(dep, nodes)
     args.out.mkdir(parents=True, exist_ok=True)
-    rows = [("pair", i, j, d) for i, j, d in report.source_pairs]
-    rows += [("node", idx, "", "") for idx in report.multi_fed_nodes]
-    _write_rows(
-        args.out / "interference.csv",
-        ("kind", "i", "j", "distance_m"),
-        rows,
-        {"r_rf_m": dep.r_rf, "strategy": dep.strategy.value},
+    pairs, multi = report.source_pairs, report.multi_fed_nodes
+    i, j, d = zip(*pairs) if pairs else ((), (), ())
+    blank = ("",) * len(multi)
+    table = SweepTable(
+        columns=("kind", "i", "j", "distance_m"),
+        data=(("pair",) * len(pairs) + ("node",) * len(multi), i + multi, j + blank, d + blank),
+        metadata={"r_rf_m": dep.r_rf, "strategy": dep.strategy.value},
     )
+    write_csv(table, args.out / "interference.csv")
     print(f"source_pairs {len(report.source_pairs)}")
     print(f"multi_fed_nodes {len(report.multi_fed_nodes)}")
     return 0
 
 
-def _cmd_sweep(args) -> int:
-    scenario = _scenario_from_args(args)
+def _cmd_sweep(args, scenario: Scenario) -> int:
     table = figures.figure_table(args.figure, scenario.radio(), scenario.event_field())
     args.out.mkdir(parents=True, exist_ok=True)
-    csv_path = args.out / f"figure{args.figure}.csv"
-    write_csv(table, csv_path)
-    emitted = [csv_path]
+    emitted = [args.out / f"figure{args.figure}.csv"]
+    write_csv(table, emitted[0])
     if args.svg:
-        svg_path = args.out / f"figure{args.figure}.svg"
-        write_svg_plot(table, figures.figure_plot_options(args.figure), svg_path)
-        emitted.append(svg_path)
+        emitted.append(emitted[0].with_suffix(".svg"))
+        write_svg_plot(table, figures.figure_plot_options(args.figure), emitted[1])
     for path in emitted:
         print(path)
     return 0
@@ -221,7 +201,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command](args, _scenario_from_args(args))
     except _UsageError as exc:
         print(exc, file=sys.stderr)
         return 1

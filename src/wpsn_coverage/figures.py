@@ -139,7 +139,7 @@ def figure_table(figure: int, radio: RadioParams, field: EventField) -> SweepTab
         "field_width_m": field.width,
         "field_height_m": field.height,
     }
-    return SweepTable(columns=fig.columns, rows=rows, metadata=metadata)
+    return SweepTable(columns=fig.columns, data=tuple(zip(*rows)), metadata=metadata)
 
 
 def figure_plot_options(figure: int) -> PlotOptions:

@@ -240,8 +240,12 @@ def serialize_scenario(scenario: Scenario) -> str:
 
 
 def load_scenario(path) -> Scenario:
+    """Parse a scenario file; its errors name the file."""
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_scenario(fh.read())
+        try:
+            return parse_scenario(fh.read())
+        except ScenarioError as exc:
+            raise type(exc)(f"{path}: {exc}") from exc
 
 
 def apply_overrides(scenario: Scenario, **overrides) -> Scenario:

@@ -1,7 +1,7 @@
 """Figure tables and their CSV and SVG serializers.
 
-A `SweepTable` holds named columns, rows of cells and a metadata dict;
-cells and metadata values are numbers or text.
+A `SweepTable` holds named columns, one sequence of cells per column and
+a metadata dict; cells and metadata values are numbers or text.
 Serialization is byte-stable: identical inputs always produce identical
 files.
 """
@@ -15,55 +15,75 @@ import numpy as np
 
 from .quantities import ValidationError
 
+_BLOCK = 1 << 14  # rows formatted and written at a time: bounds the writer's memory
+
 
 @dataclass(frozen=True)
 class SweepTable:
     columns: tuple[str, ...]
-    rows: tuple[tuple[float | str, ...], ...]
+    data: tuple  # one 1-D numpy array or Python sequence per column
     metadata: dict = dc_field(default_factory=dict)
 
     def __post_init__(self):
-        for row in self.rows:
-            if len(row) != len(self.columns):
-                raise ValidationError(
-                    f"row arity {len(row)} != {len(self.columns)} columns"
-                )
+        if len(self.data) != len(self.columns) or len({len(c) for c in self.data}) > 1:
+            raise ValidationError(f"need {len(self.columns)} columns of one length")
+
+    @property
+    def rows(self) -> tuple[tuple, ...]:
+        return tuple(zip(*self.data))
 
 
 def _format_number(value) -> str:
-    """Shortest decimal that round-trips; integers without exponent noise;
-    text as it is."""
-    if isinstance(value, (int, str)):
-        return str(value)
+    """Shortest round-trip decimal; integral values as integers; text as it is."""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
     f = float(value)
-    if f == int(f) and abs(f) < 1e16:
+    if f.is_integer() and abs(f) < 1e16:
         return str(int(f))
     return repr(f)
 
 
+def _column_text(values) -> list[str]:
+    """Each cell as `_format_number` writes it; numeric arrays are formatted whole."""
+    if not isinstance(values, np.ndarray) or values.dtype.kind not in "bif":
+        return [_format_number(v) for v in values]
+    if values.dtype.kind in "bi":
+        return list(map(str, values.astype(np.int64, copy=False).tolist()))
+    text = list(map(float.__repr__, values.tolist()))
+    integral = np.flatnonzero((values == np.trunc(values)) & (np.abs(values) < 1e16))
+    for i, f in zip(integral.tolist(), values[integral].tolist()):
+        text[i] = str(int(f))
+    return text
+
+
+def _csv_blocks(table: SweepTable):
+    """Metadata lines and header, then the rows `_BLOCK` at a time."""
+    meta = "".join(f"# {k} = {_format_number(v)}\n" for k, v in sorted(table.metadata.items()))
+    yield meta + ",".join(table.columns) + "\n"
+    for lo in range(0, len(table.data[0]) if table.data else 0, _BLOCK):
+        texts = [_column_text(column[lo : lo + _BLOCK]) for column in table.data]
+        yield "\n".join(map(",".join, zip(*texts))) + "\n"
+
+
 def render_csv(table: SweepTable) -> str:
     """CSV text: '#'-prefixed metadata, header, then rows. LF endings."""
-    lines = []
-    for key in sorted(table.metadata):
-        lines.append(f"# {key} = {_format_number(table.metadata[key])}")
-    lines.append(",".join(table.columns))
-    for row in table.rows:
-        lines.append(",".join(_format_number(v) for v in row))
-    return "\n".join(lines) + "\n"
+    return "".join(_csv_blocks(table))
 
 
 def write_csv(table: SweepTable, destination) -> None:
-    """Write the table to a path or text stream."""
-    _write_text(render_csv(table), destination, "CSV")
+    """Write the table to a path or text stream, one block of rows at a time."""
+    _write_text(_csv_blocks(table), destination, "CSV")
 
 
-def _write_text(text: str, destination, what: str) -> None:
+def _write_text(pieces, destination, what: str) -> None:
     if hasattr(destination, "write"):
-        destination.write(text)
+        destination.writelines(pieces)
         return
     try:
         with open(destination, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
     except OSError as exc:
         raise OSError(f"cannot write {what} to {destination}: {exc}") from exc
 
@@ -110,11 +130,9 @@ def render_svg(table: SweepTable, options: PlotOptions) -> str:
 
     series: dict[tuple, list[tuple[float, float]]] = {}
     for row in table.rows:
-        key = tuple(row[i] for i in si)
-        series.setdefault(key, []).append((row[xi], row[yi]))
+        series.setdefault(tuple(row[i] for i in si), []).append((row[xi], row[yi]))
 
-    xs = [row[xi] for row in table.rows]
-    ys = [row[yi] for row in table.rows]
+    xs, ys = table.data[xi], table.data[yi]
     x_lo, x_hi = min(xs), max(xs)
     y_lo, y_hi = min(ys), max(ys)
     if options.log_x and x_lo <= 0:
@@ -184,13 +202,11 @@ def render_svg(table: SweepTable, options: PlotOptions) -> str:
             f'<line x1="{right + 10}" y1="{ly + 10}" x2="{right + 30}" y2="{ly + 10}" '
             f'stroke="{color}" stroke-width="1.5"/>'
         )
-        parts.append(
-            f'<text x="{right + 35}" y="{ly + 14}" font-size="11">{label}</text>'
-        )
+        parts.append(f'<text x="{right + 35}" y="{ly + 14}" font-size="11">{label}</text>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
 
 def write_svg_plot(table: SweepTable, options: PlotOptions, destination) -> None:
     """Write an SVG rendering of the table to a path or text stream."""
-    _write_text(render_svg(table, options), destination, "SVG")
+    _write_text((render_svg(table, options),), destination, "SVG")

@@ -213,6 +213,17 @@ class TestErrorHandling:
         assert code == 1
         assert "nonsense_key" in err
 
+    def test_scenario_file_error_names_file(self, capsys, tmp_path):
+        scenario = tmp_path / "f.scn"
+        scenario.write_text("sources = 10,10; 30,30\n")
+        code, out, err = run(
+            capsys, "interference", "--scenario", str(scenario), "--strategy", "explicit",
+            "--out", str(tmp_path / "o"),
+        )
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {scenario}: sources requires strategy = explicit\n"
+
     def test_missing_scenario_file_is_io_error(self, capsys, tmp_path):
         code, _, err = run(capsys, "range", "--scenario", str(tmp_path / "absent.scn"))
         assert code == 2
@@ -260,7 +271,9 @@ def test_scenario_flags_store_scenario_keys():
     assert all(dest in keys for _, dest in flags)
 
 
-PARITY_TEXTS = ("8.5", "8.5 dBi", "1_0", "1e999", "-1", "30dBm", " 12", "2GHz", "hex_grid")
+PARITY_TEXTS = (
+    "8.5", "8.5 dBi", "1_0", "1e999", "-1", "30dBm", " 12", "2GHz", "hex_grid", " hex_grid",
+)
 
 
 @pytest.mark.parametrize("flag,key", _deploy_flags())

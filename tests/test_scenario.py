@@ -11,6 +11,7 @@ from wpsn_coverage.scenario import (
     UnitError,
     UnknownKeyError,
     apply_overrides,
+    load_scenario,
     parse_magnitude,
     parse_scenario,
     serialize_scenario,
@@ -132,6 +133,23 @@ class TestParseScenario:
         radio = s.radio()
         assert radio.eirp_product_w == 4.0
         assert radio.g_t.linear == 1.0
+
+
+@pytest.mark.parametrize(
+    "text,error",
+    [
+        ("nonsense = 1\n", UnknownKeyError),
+        ("f_hz = 1 W\n", UnitError),
+        ("f_hz\n", ScenarioParseError),
+        ("sources = 10,10\n", ConstraintError),
+    ],
+)
+def test_load_scenario_error_names_the_file(tmp_path, text, error):
+    path = tmp_path / "f.scn"
+    path.write_text(text)
+    with pytest.raises(error) as info:
+        load_scenario(path)
+    assert str(info.value).startswith(f"{path}: ")
 
 
 class TestRoundTrip:

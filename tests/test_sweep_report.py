@@ -1,16 +1,20 @@
 import io
 import math
 import random
+import tracemalloc
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from wpsn_coverage import figures
+from wpsn_coverage import figures, sweep_report
 from wpsn_coverage.coverage import EventField, source_count
 from wpsn_coverage.link_budget import RadioParams, max_range
 from wpsn_coverage.quantities import ValidationError
 from wpsn_coverage.sweep_report import (
     PlotOptions,
     SweepTable,
+    _format_number,
     render_csv,
     render_svg,
     write_csv,
@@ -184,7 +188,7 @@ class TestCsv:
     def table(self):
         return SweepTable(
             columns=("a", "b"),
-            rows=((1.0, 2.5), (3.0, 1.25e-5)),
+            data=((1.0, 3.0), (2.5, 1.25e-5)),
             metadata={"axis": "area", "points": 2},
         )
 
@@ -197,7 +201,7 @@ class TestCsv:
     def test_text_cells_pass_through(self):
         table = SweepTable(
             columns=("kind", "i", "d"),
-            rows=(("pair", 0, 1.5), ("node", 3, "")),
+            data=(("pair", "node"), (0, 3), (1.5, "")),
             metadata={"strategy": "hex_grid", "r": 2.0},
         )
         assert render_csv(table) == (
@@ -222,6 +226,100 @@ class TestCsv:
         with pytest.raises(OSError):
             write_csv(table, tmp_path / "missing_dir" / "out.csv")
 
+    @pytest.mark.parametrize(
+        "column", [(math.inf, -math.inf, math.nan), np.array([math.inf, -math.inf, math.nan])]
+    )
+    def test_non_finite_cells_print_as_repr(self, column):
+        table = SweepTable(columns=("a",), data=(column,), metadata={"m": math.inf})
+        assert render_csv(table) == "# m = inf\na\ninf\n-inf\nnan\n"
+
+    def test_bool_and_int_columns_print_integers(self):
+        table = SweepTable(
+            columns=("b", "i"), data=(np.array([True, False]), np.array([-1, 2**62]))
+        )
+        assert render_csv(table) == f"b,i\n1,-1\n0,{2**62}\n"
+
+    def test_columns_of_unequal_length_rejected(self):
+        with pytest.raises(ValidationError):
+            SweepTable(columns=("a", "b"), data=((1.0, 2.0), (3.0,)))
+        with pytest.raises(ValidationError):
+            SweepTable(columns=("a", "b"), data=((1.0,),))
+
+
+def _reference_csv(table):
+    """The row-by-row serializer: one `_format_number` call per cell."""
+    lines = [f"# {k} = {_format_number(v)}" for k, v in sorted(table.metadata.items())]
+    lines.append(",".join(table.columns))
+    lines += [",".join(_format_number(v) for v in row) for row in zip(*table.data)]
+    return "\n".join(lines) + "\n"
+
+
+_FLOAT_EDGES = [
+    0.0, -0.0, 5e-324, -5e-324, 2.0**53, 2.0**53 + 2, -(2.0**53) - 1, 2.0**53 - 0.5,
+    1e16, -1e16, np.nextafter(1e16, 0.0), np.nextafter(1e16, np.inf), 1e16 - 2, 0.5,
+    math.inf, -math.inf, math.nan, 1.25e-5, 4e4,
+]
+_floats = st.one_of(
+    st.integers(0, 2**64 - 1).map(lambda bits: float(np.uint64(bits).view(np.float64))),
+    st.sampled_from(_FLOAT_EDGES),
+    st.integers(-(2**60), 2**60).map(float),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 40).flatmap(lambda n: st.tuples(
+    st.lists(_floats, min_size=n, max_size=n),
+    st.lists(st.integers(-(2**63), 2**63 - 1), min_size=n, max_size=n),
+    st.lists(st.booleans(), min_size=n, max_size=n),
+)))
+def test_column_formatting_matches_per_cell_reference(columns):
+    floats, ints, bools = columns
+    table = SweepTable(
+        columns=("f", "i", "b"),
+        data=(np.array(floats, dtype=np.float64), np.array(ints, dtype=np.int64),
+              np.array(bools, dtype=bool)),
+        metadata={"edge": floats[0] if floats else -0.0},
+    )
+    assert render_csv(table) == _reference_csv(table)
+
+
+def _deploy_shaped(n):
+    rng = np.random.default_rng(0)
+    positions = rng.random((n, 2)) * 500.0
+    fed = rng.random(n) < 0.7
+    first = np.where(fed, rng.integers(0, 400, n), -1)
+    return SweepTable(
+        columns=("node", "x_m", "y_m", "covered", "first_source"),
+        data=(np.arange(n), *positions.T, fed, first),
+        metadata={"strategy": "hex_grid", "r_rf_m": 13.5},
+    )
+
+
+@pytest.mark.parametrize("n", [6, 7, 8, 15])
+def test_block_boundaries_do_not_change_bytes(monkeypatch, n):
+    tables = [
+        _deploy_shaped(n),
+        SweepTable(columns=("k", "v"), data=(("a",) * n, tuple(range(n)))),
+    ]
+    expected = [render_csv(t) for t in tables]
+    monkeypatch.setattr(sweep_report, "_BLOCK", 7)
+    assert [render_csv(t) for t in tables] == expected
+    assert expected[0] == _reference_csv(tables[0])
+
+
+def test_write_csv_memory_is_bounded_by_the_block(tmp_path):
+    # 2e5 rows: held as row tuples the same cells take ~46 MB, and the
+    # row-by-row writer peaks at ~87 MB on top of them
+    table = _deploy_shaped(200_000)
+    tracemalloc.start()
+    try:
+        write_csv(table, tmp_path / "coverage.csv")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 25e6
+    assert (tmp_path / "coverage.csv").read_text().count("\n") == 2 + 1 + 200_000
+
 
 class TestSvg:
     @pytest.fixture
@@ -229,7 +327,7 @@ class TestSvg:
         # the 1 GHz series of figure 5 only
         full = figures.figure_table(5, EIRP_RADIO, FIELD)
         return SweepTable(
-            columns=full.columns, rows=tuple(r for r in full.rows if r[1] == 1e9)
+            columns=full.columns, data=tuple(zip(*(r for r in full.rows if r[1] == 1e9)))
         )
 
     def options(self, **kw):
@@ -259,7 +357,7 @@ class TestSvg:
         assert render_svg(table, opts) == render_svg(table, opts)
 
     def test_empty_table_rejected(self):
-        empty = SweepTable(columns=("x", "y"), rows=())
+        empty = SweepTable(columns=("x", "y"), data=((), ()))
         with pytest.raises(ValidationError):
             render_svg(empty, PlotOptions(x_col="x", y_col="y"))
 
