@@ -4,107 +4,51 @@ Computes activation ranges from a free-space link budget, the number of
 RF sources needed to cover an event field with non-overlapping ranges,
 concrete grid placements with interference checks, and the parameter
 sweeps behind the report figures.
+
+Public names load their module on first use (PEP 562), so the scalar
+commands never import numpy: only the array layer (`kernels`,
+`deployment`) and the log grids of figures 5 and 6 need it.
 """
 
-from .quantities import (
-    SPEED_OF_LIGHT,
-    Area,
-    Frequency,
-    Gain,
-    Length,
-    Power,
-    Resistance,
-    ValidationError,
-    Voltage,
-    dbi_to_linear,
-    linear_to_dbi,
-    wavelength,
-)
-from .link_budget import (
-    LinkResult,
-    RadioParams,
-    induced_voltage,
-    link_at,
-    max_range,
-    power_from_voltage,
-    received_power,
-)
-from .coverage import (
-    EventField,
-    SourceCount,
-    max_area,
-    required_power,
-    source_count,
-    source_count_from_range,
-)
-from .deployment import (
-    CoverageReport,
-    Deployment,
-    InterferenceReport,
-    NodeField,
-    Strategy,
-    coverage_report,
-    detect_interference,
-    monte_carlo_coverage,
-    place_sources,
-    scatter_nodes,
-)
-from .sweep_report import (
-    PlotOptions,
-    SweepTable,
-    render_csv,
-    render_svg,
-    write_csv,
-    write_svg_plot,
-)
-from .scenario import Scenario, load_scenario, parse_scenario, serialize_scenario
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "SPEED_OF_LIGHT",
-    "Area",
-    "CoverageReport",
-    "Deployment",
-    "EventField",
-    "Frequency",
-    "Gain",
-    "InterferenceReport",
-    "Length",
-    "LinkResult",
-    "NodeField",
-    "PlotOptions",
-    "Power",
-    "RadioParams",
-    "Resistance",
-    "Scenario",
-    "SourceCount",
-    "Strategy",
-    "SweepTable",
-    "ValidationError",
-    "Voltage",
-    "coverage_report",
-    "dbi_to_linear",
-    "detect_interference",
-    "induced_voltage",
-    "linear_to_dbi",
-    "link_at",
-    "load_scenario",
-    "max_area",
-    "max_range",
-    "monte_carlo_coverage",
-    "parse_scenario",
-    "place_sources",
-    "power_from_voltage",
-    "received_power",
-    "render_csv",
-    "render_svg",
-    "required_power",
-    "scatter_nodes",
-    "serialize_scenario",
-    "source_count",
-    "source_count_from_range",
-    "wavelength",
-    "write_csv",
-    "write_svg_plot",
-]
+# defining module -> the public names it exports
+_EXPORTS = {
+    "quantities": (
+        "SPEED_OF_LIGHT", "Area", "Frequency", "Gain", "Length", "Power", "Resistance",
+        "ValidationError", "Voltage", "dbi_to_linear", "linear_to_dbi", "wavelength",
+    ),
+    "link_budget": (
+        "LinkResult", "RadioParams", "induced_voltage", "link_at", "max_range",
+        "power_from_voltage", "received_power",
+    ),
+    "coverage": (
+        "EventField", "SourceCount", "Strategy", "max_area", "required_power", "source_count",
+        "source_count_from_range",
+    ),
+    "deployment": (
+        "CoverageReport", "Deployment", "InterferenceReport", "NodeField", "coverage_report",
+        "detect_interference", "monte_carlo_coverage", "place_sources", "scatter_nodes",
+    ),
+    "sweep_report": (
+        "PlotOptions", "SweepTable", "render_csv", "render_svg", "write_csv", "write_svg_plot",
+    ),
+    "scenario": ("Scenario", "load_scenario", "parse_scenario", "serialize_scenario"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name):
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_MODULE_OF[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

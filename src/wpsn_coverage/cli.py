@@ -5,7 +5,8 @@ Subcommands wrap the library one-to-one: `range`, `sources`, `power`,
 built-in defaults (the design point declared on `Scenario`). A flag
 takes the text of its file key and goes through the same parser. Exit
 codes: 0 success, 1 validation or parse error, 2 I/O error; diagnostics
-go to stderr only.
+go to stderr only. Only `deploy` and `interference` import `deployment`,
+and with it numpy, and they read its functions at call time.
 """
 
 from __future__ import annotations
@@ -15,19 +16,8 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
-import numpy as np
-
 from . import figures
-from .coverage import source_count, required_power
-from .deployment import (
-    Deployment,
-    NodeField,
-    Strategy,
-    detect_interference,
-    coverage_report,
-    place_sources,
-    scatter_nodes,
-)
+from .coverage import Strategy, required_power, source_count
 from .link_budget import max_range
 from .quantities import ValidationError
 from .scenario import Scenario, apply_overrides, load_scenario, parse_value
@@ -94,17 +84,21 @@ def _scenario_from_args(args) -> Scenario:
     return apply_overrides(scenario, **overrides)
 
 
-def _deployment(scenario: Scenario) -> tuple[Deployment, NodeField]:
+def _deployment(scenario: Scenario) -> tuple:
+    """The scenario's deployment and its scattered nodes."""
+    from . import deployment
+
     field = scenario.event_field()
     r_rf = scenario.r_rf_m
     if r_rf is None:
         r_rf = max_range(scenario.radio()).meters
     strategy = scenario.value("strategy")
     if strategy is Strategy.EXPLICIT:
-        dep = Deployment(field=field, sources=scenario.sources, r_rf=r_rf, strategy=strategy)
+        dep = deployment.Deployment(field, scenario.sources, r_rf, strategy)
     else:
-        dep = place_sources(field, r_rf, strategy)
-    return dep, scatter_nodes(dep.field, scenario.value("node_count"), scenario.value("node_seed"))
+        dep = deployment.place_sources(field, r_rf, strategy)
+    count, seed = scenario.value("node_count"), scenario.value("node_seed")
+    return dep, deployment.scatter_nodes(dep.field, count, seed)
 
 
 def _cmd_range(args, scenario: Scenario) -> int:
@@ -126,8 +120,12 @@ def _cmd_power(args, scenario: Scenario) -> int:
 
 
 def _cmd_deploy(args, scenario: Scenario) -> int:
+    import numpy as np
+
+    from . import deployment
+
     dep, nodes = _deployment(scenario)
-    report = coverage_report(dep, nodes)
+    report = deployment.coverage_report(dep, nodes)
     args.out.mkdir(parents=True, exist_ok=True)
     meta = {
         "r_rf_m": dep.r_rf,
@@ -157,8 +155,10 @@ def _cmd_deploy(args, scenario: Scenario) -> int:
 
 
 def _cmd_interference(args, scenario: Scenario) -> int:
+    from . import deployment
+
     dep, nodes = _deployment(scenario)
-    report = detect_interference(dep, nodes)
+    report = deployment.detect_interference(dep, nodes)
     args.out.mkdir(parents=True, exist_ok=True)
     pairs, multi = report.source_pairs, report.multi_fed_nodes
     i, j, d = zip(*pairs) if pairs else ((), (), ())

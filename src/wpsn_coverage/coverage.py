@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from enum import Enum
 
 from .quantities import (
     SPEED_OF_LIGHT,
@@ -46,6 +47,14 @@ class EventField:
     def contains(self, x, y):
         """Whether (x, y) lies in the closed field; elementwise on arrays."""
         return (0.0 <= x) & (x <= self.width) & (0.0 <= y) & (y <= self.height)
+
+
+class Strategy(str, Enum):
+    """How a deployment places its sources over the field."""
+
+    SQUARE_GRID = "square_grid"
+    HEX_GRID = "hex_grid"
+    EXPLICIT = "explicit"
 
 
 @dataclass(frozen=True)

@@ -12,19 +12,12 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 from . import kernels
-from .coverage import EventField
+from .coverage import EventField, Strategy
 from .quantities import ValidationError, _positive
-
-
-class Strategy(str, Enum):
-    SQUARE_GRID = "square_grid"
-    HEX_GRID = "hex_grid"
-    EXPLICIT = "explicit"
 
 
 def _point_array(points, field: EventField, what: str) -> np.ndarray:

@@ -15,14 +15,13 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
-
 from .coverage import EventField, required_power, source_count
 from .link_budget import RadioParams, induced_voltage, max_range
 from .quantities import ValidationError
-from .sweep_report import PlotOptions, SweepTable
+from .sweep_report import PlotOptions, SweepTable, linspace
 
 FREQUENCY_SERIES_HZ = (5.0e8, 1.0e9, 2.0e9)
+_POINTS = 50  # grid points per figure axis, before the forced values
 
 
 @dataclass(frozen=True)
@@ -30,7 +29,6 @@ class _Figure:
     axis: str
     start: float
     stop: float
-    points: int
     log: bool
     include: tuple[float, ...]  # axis values forced onto the grid
     series: tuple[tuple[float, ...], ...]
@@ -41,10 +39,13 @@ class _Figure:
 
     def grid(self) -> list[float]:
         if self.log:
-            grid = np.logspace(math.log10(self.start), math.log10(self.stop), self.points)
+            # np.logspace, not 10.0**y: the figure 5/6 bytes follow its rounding
+            import numpy as np
+
+            grid = np.logspace(math.log10(self.start), math.log10(self.stop), _POINTS).tolist()
         else:
-            grid = np.linspace(self.start, self.stop, self.points)
-        values = set(grid.tolist())
+            grid = linspace(self.start, self.stop, _POINTS)
+        values = set(grid)
         values.update(v for v in self.include if self.start <= v <= self.stop)
         return sorted(values)
 
@@ -56,13 +57,13 @@ def _sources(area, radio: RadioParams) -> tuple[float, float]:
 
 _TABLE = {
     4: _Figure(
-        "received_power", 0.0, 1.0e-4, 50, False, (1.25e-5,), ((),),
+        "received_power", 0.0, 1.0e-4, False, (1.25e-5,), ((),),
         ("p_r_w", "v_induced_v"),
         lambda p_r, _, radio, field: (induced_voltage(p_r, radio.r_r, radio.r_l).volts,),
         PlotOptions(x_col="p_r_w", y_col="v_induced_v", title="Induced voltage vs received power"),
     ),
     5: _Figure(
-        "transmit_power", 0.1, 10.0, 50, True, (1.0, 4.0),
+        "transmit_power", 0.1, 10.0, True, (1.0, 4.0),
         tuple((f,) for f in FREQUENCY_SERIES_HZ),
         ("p_t_w", "f_hz", "max_range_m"),
         lambda p_t, s, radio, field: (
@@ -74,7 +75,7 @@ _TABLE = {
         ),
     ),
     6: _Figure(
-        "transmit_power", 0.1, 10.0, 50, True, (1.0, 4.0),
+        "transmit_power", 0.1, 10.0, True, (1.0, 4.0),
         tuple((f,) for f in FREQUENCY_SERIES_HZ),
         ("p_t_w", "f_hz", "k_exact", "k_required"),
         lambda p_t, s, radio, field: _sources(field, radio.with_power(p_t).with_frequency(s[0])),
@@ -84,7 +85,7 @@ _TABLE = {
         ),
     ),
     7: _Figure(
-        "frequency", 5.0e8, 2.0e9, 50, False, (1.0e9,),
+        "frequency", 5.0e8, 2.0e9, False, (1.0e9,),
         ((2.0,), (4.0,), (6.0,), (8.0,), (10.0,)),
         ("f_hz", "k", "required_power_w"),
         lambda f, s, radio, field: (
@@ -96,7 +97,7 @@ _TABLE = {
         ),
     ),
     8: _Figure(
-        "area", 1.0e3, 1.0e5, 50, False, (4.0e4,),
+        "area", 1.0e3, 1.0e5, False, (4.0e4,),
         tuple((1.0, f) for f in FREQUENCY_SERIES_HZ),
         ("area_m2", "p_t_w", "f_hz", "k_exact", "k_required"),
         lambda area, s, radio, field: _sources(area, radio.with_power(s[0]).with_frequency(s[1])),
@@ -127,7 +128,7 @@ def figure_table(figure: int, radio: RadioParams, field: EventField) -> SweepTab
         "axis": fig.axis,
         "start": fig.start,
         "stop": fig.stop,
-        "points": fig.points,
+        "points": _POINTS,
         "spacing": "logarithmic" if fig.log else "linear",
         "p_t_w": radio.p_t.watts,
         "g_t_linear": radio.g_t.linear,

@@ -20,8 +20,7 @@ import math
 import re
 from dataclasses import dataclass, field, fields, replace
 
-from .coverage import EventField
-from .deployment import Strategy
+from .coverage import EventField, Strategy
 from .link_budget import RadioParams
 from .quantities import ValidationError
 
@@ -240,10 +239,14 @@ def serialize_scenario(scenario: Scenario) -> str:
 
 
 def load_scenario(path) -> Scenario:
-    """Parse a scenario file; its errors name the file."""
+    """Parse a UTF-8 scenario file; its errors name the file."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return parse_scenario(fh.read())
+        except UnicodeDecodeError as exc:
+            raise ScenarioParseError(
+                f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})"
+            ) from exc
         except ScenarioError as exc:
             raise type(exc)(f"{path}: {exc}") from exc
 

@@ -11,8 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field as dc_field
 
-import numpy as np
-
 from .quantities import ValidationError
 
 _BLOCK = 1 << 14  # rows formatted and written at a time: bounds the writer's memory
@@ -37,7 +35,7 @@ def _format_number(value) -> str:
     """Shortest round-trip decimal; integral values as integers; text as it is."""
     if isinstance(value, str):
         return value
-    if isinstance(value, (int, np.integer)):
+    if hasattr(value, "__index__"):  # int, bool, numpy integers; faster than numbers.Integral
         return str(int(value))
     f = float(value)
     if f.is_integer() and abs(f) < 1e16:
@@ -47,9 +45,12 @@ def _format_number(value) -> str:
 
 def _column_text(values) -> list[str]:
     """Each cell as `_format_number` writes it; numeric arrays are formatted whole."""
-    if not isinstance(values, np.ndarray) or values.dtype.kind not in "bif":
+    kind = values.dtype.kind if hasattr(values, "dtype") else None
+    if kind not in ("b", "i", "f"):
         return [_format_number(v) for v in values]
-    if values.dtype.kind in "bi":
+    import numpy as np  # an array was passed in, so numpy is already loaded
+
+    if kind in ("b", "i"):
         return list(map(str, values.astype(np.int64, copy=False).tolist()))
     text = list(map(float.__repr__, values.tolist()))
     integral = np.flatnonzero((values == np.trunc(values)) & (np.abs(values) < 1e16))
@@ -97,10 +98,7 @@ class PlotOptions:
     y_col: str
     series_cols: tuple[str, ...] = ()
     log_x: bool = False
-    log_y: bool = False
     title: str = ""
-    width: int = 800
-    height: int = 600
 
 
 def _scale(value: float, lo: float, hi: float, out_lo: float, out_hi: float, log: bool) -> float:
@@ -111,13 +109,23 @@ def _scale(value: float, lo: float, hi: float, out_lo: float, out_hi: float, log
     return out_lo + (value - lo) / (hi - lo) * (out_hi - out_lo)
 
 
+def linspace(start: float, stop: float, n: int) -> list[float]:
+    """`n` >= 2 evenly spaced values from start to stop.
+
+    Bit for bit `np.linspace(start, stop, n).tolist()`: the same IEEE
+    operations, `start + i * step` with the last value set to `stop`.
+    """
+    step = (stop - start) / (n - 1)
+    return [start + i * step for i in range(n - 1)] + [stop]
+
+
 def _ticks(lo: float, hi: float, log: bool) -> list[float]:
     if log:
         first = math.ceil(math.log10(lo) - 1e-9)
         last = math.floor(math.log10(hi) + 1e-9)
         ticks = [10.0**e for e in range(first, last + 1)]
         return ticks or [lo, hi]
-    return np.linspace(lo, hi, 5).tolist()
+    return linspace(lo, hi, 5)
 
 
 def render_svg(table: SweepTable, options: PlotOptions) -> str:
@@ -137,19 +145,17 @@ def render_svg(table: SweepTable, options: PlotOptions) -> str:
     y_lo, y_hi = min(ys), max(ys)
     if options.log_x and x_lo <= 0:
         raise ValidationError("log x scale requires positive x values")
-    if options.log_y and y_lo <= 0:
-        raise ValidationError("log y scale requires positive y values")
     if y_lo == y_hi:
         y_lo, y_hi = y_lo - 1.0, y_hi + 1.0
 
-    w, h = options.width, options.height
+    w, h = 800, 600
     left, right, top, bottom = 70, w - 170, 50, h - 60
 
     def sx(v):
         return _scale(v, x_lo, x_hi, left, right, options.log_x)
 
     def sy(v):
-        return _scale(v, y_lo, y_hi, bottom, top, options.log_y)
+        return _scale(v, y_lo, y_hi, bottom, top, False)
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" viewBox="0 0 {w} {h}" '
@@ -172,7 +178,7 @@ def render_svg(table: SweepTable, options: PlotOptions) -> str:
             f'<text x="{px:.2f}" y="{bottom + 20}" text-anchor="middle" font-size="11">'
             f"{t:.4g}</text>"
         )
-    for t in _ticks(y_lo, y_hi, options.log_y):
+    for t in _ticks(y_lo, y_hi, False):
         py = sy(t)
         parts.append(
             f'<line x1="{left - 5}" y1="{py:.2f}" x2="{left}" y2="{py:.2f}" stroke="black"/>'

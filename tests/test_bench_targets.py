@@ -3,12 +3,16 @@ that renames one, or stops calling it through the name the tracer
 replaces, would silently zero that layer's metric."""
 
 import importlib
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
-
 
 from wpsn_coverage import cli, sweep_report
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
+SRC = BENCH.parent / "src"
 
 
 def test_every_traced_target_exists(monkeypatch):
@@ -31,3 +35,29 @@ def test_deploy_writes_through_the_cli_reference(monkeypatch, tmp_path, capsys):
     capsys.readouterr()
     assert code == 0
     assert calls == ["placement.csv", "coverage.csv"]
+
+
+def test_traced_deploy_records_the_lazily_imported_layers(tmp_path):
+    # the CLI imports `deployment` inside its commands; the tracer must still
+    # replace the functions that those commands call
+    before = sorted(BENCH.rglob("*"))
+    spans_file = tmp_path / "spans.json"
+    env = {
+        **os.environ,
+        "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])),
+        "PYTHONDONTWRITEBYTECODE": "1",  # leave bench/ as it is
+    }
+    proc = subprocess.run(
+        [sys.executable, str(BENCH / "cli_traced.py"), str(spans_file), "--",
+         "deploy", "--nodes", "50", "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    names = {span["name"] for span in json.loads(spans_file.read_text())}
+    assert {
+        "deployment.place_sources",
+        "deployment.scatter_nodes",
+        "deployment.coverage_report",
+        "sweep_report.write_csv",
+    } <= names
+    assert sorted(BENCH.rglob("*")) == before

@@ -224,6 +224,15 @@ class TestErrorHandling:
         assert out == ""
         assert err == f"error: {scenario}: sources requires strategy = explicit\n"
 
+    def test_non_utf8_scenario_file(self, capsys, monkeypatch, tmp_path):
+        (tmp_path / "bad.scn").write_bytes(b"f_hz = 1\xff GHz\n")
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, "range", "--scenario", "bad.scn")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: bad.scn: ")
+        assert err.count("\n") == 1
+
     def test_missing_scenario_file_is_io_error(self, capsys, tmp_path):
         code, _, err = run(capsys, "range", "--scenario", str(tmp_path / "absent.scn"))
         assert code == 2

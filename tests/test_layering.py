@@ -1,0 +1,60 @@
+"""numpy belongs to the array layer (`kernels`, `deployment`): the scalar
+commands and the linear figures run without it, and the package loads
+each public name from its defining module on first use."""
+
+import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import wpsn_coverage
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# run one command in a fresh interpreter; the last stdout line says whether numpy loaded
+PROBE = (
+    "import sys; from wpsn_coverage import cli; code = cli.main(sys.argv[1:]); "
+    "print(code, 'numpy' in sys.modules)"
+)
+
+
+@pytest.mark.parametrize(
+    "argv, loads_numpy",
+    [
+        (["range"], False),
+        (["sources"], False),
+        (["power", "--k", "6"], False),
+        (["sweep", "--figure", "4", "--svg"], False),
+        (["sweep", "--figure", "7", "--svg"], False),
+        (["sweep", "--figure", "8", "--svg"], False),
+        (["sweep", "--figure", "5"], True),  # np.logspace
+        (["deploy", "--nodes", "50"], True),
+    ],
+)
+def test_only_array_commands_import_numpy(tmp_path, argv, loads_numpy):
+    if "sweep" in argv or "deploy" in argv:
+        argv = [*argv, "--out", str(tmp_path)]
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run(
+        [sys.executable, "-c", PROBE, *argv], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == f"0 {loads_numpy}"
+
+
+def test_every_export_is_the_defining_modules_object():
+    listing = dir(wpsn_coverage)
+    for module, names in wpsn_coverage._EXPORTS.items():
+        defining = importlib.import_module(f"wpsn_coverage.{module}")
+        for name in names:
+            assert getattr(wpsn_coverage, name) is getattr(defining, name), name
+            assert name in listing
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        wpsn_coverage.no_such_name

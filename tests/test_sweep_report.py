@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from wpsn_coverage import figures, sweep_report
 from wpsn_coverage.coverage import EventField, source_count
@@ -15,6 +15,7 @@ from wpsn_coverage.sweep_report import (
     PlotOptions,
     SweepTable,
     _format_number,
+    linspace,
     render_csv,
     render_svg,
     write_csv,
@@ -364,3 +365,19 @@ class TestSvg:
     def test_viewbox_default(self, table):
         svg = render_svg(table, self.options())
         assert 'viewBox="0 0 800 600"' in svg
+
+
+FINITE = st.floats(-1e12, 1e12, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=500, deadline=None)
+@given(FINITE, FINITE, st.integers(2, 200))
+@example(-3.5, 7.25, 5)
+@example(-1e-4, -1e-4, 50)
+@example(0.0, 1e-4, 2)
+@example(-0.0, 0.0, 5)
+def test_linspace_equals_numpy(start, stop, n):
+    # numpy rescales a step that underflows to zero; no grid or tick range comes near that
+    assume(start == stop or (stop - start) / (n - 1) != 0.0)
+    expected = np.linspace(start, stop, n).tolist()
+    assert [v.hex() for v in linspace(start, stop, n)] == [v.hex() for v in expected]
