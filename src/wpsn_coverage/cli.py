@@ -33,41 +33,44 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.format_usage()}error: {message}")
 
 
+def _key_flags(parser: argparse.ArgumentParser, keys: str, **options: dict) -> None:
+    """One flag per scenario key, named like it (`p_t_w` is `--p-t-w`), with
+    the key's add_argument options, if any."""
+    for key in keys.split():
+        parser.add_argument("--" + key.replace("_", "-"), **options.get(key, {}))
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="wpsncov", description=__doc__.splitlines()[0])
     # Each subcommand takes only the flags it reads; each parent adds to the one before.
     radio = _Parser(add_help=False)
     radio.add_argument("--scenario", type=Path, help="scenario file (key = value lines)")
-    radio.add_argument("--p-t-w", dest="p_t_w")
-    radio.add_argument(
-        "--eirp-product-w", dest="eirp_product_w",
-        help="p_t*g_t*g_r folded into one value (gains become 1)",
+    _key_flags(
+        radio, "p_t_w eirp_product_w g_t_dbi g_r_dbi f_hz v_min_v r_r_ohm r_l_ohm",
+        eirp_product_w={"help": "p_t*g_t*g_r folded into one value (gains become 1)"},
     )
-    radio.add_argument("--g-t-dbi", dest="g_t_dbi")
-    radio.add_argument("--g-r-dbi", dest="g_r_dbi")
-    radio.add_argument("--f-hz", dest="f_hz")
-    radio.add_argument("--v-min-v", dest="v_min_v")
-    radio.add_argument("--r-r-ohm", dest="r_r_ohm")
-    radio.add_argument("--r-l-ohm", dest="r_l_ohm")
     field = _Parser(add_help=False, parents=[radio])
     field.add_argument("--area-m2", dest="field_area_m2")
     output = _Parser(add_help=False, parents=[field])
     output.add_argument("--out", type=Path, default=Path("."), help="output directory")
     placement = _Parser(add_help=False, parents=[output])
     placement.add_argument("--seed", dest="node_seed", help="RNG seed for node scattering")
-    placement.add_argument("--r-rf-m", dest="r_rf_m")
     strategies = ",".join(s.value for s in Strategy)
-    placement.add_argument("--strategy", dest="strategy", metavar=f"{{{strategies}}}")
+    _key_flags(placement, "r_rf_m strategy", strategy={"metavar": f"{{{strategies}}}"})
     placement.add_argument("--nodes", dest="node_count")
 
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("range", parents=[radio], help="print the activation range in meters")
-    sub.add_parser("sources", parents=[field], help="print the required source count")
-    p_power = sub.add_parser("power", parents=[field], help="print required transmit power")
-    p_power.add_argument("--k", type=int, required=True, help="number of sources")
-    sub.add_parser("deploy", parents=[placement], help="write placement and coverage CSVs")
-    sub.add_parser("interference", parents=[placement], help="write the interference report CSV")
-    p_sweep = sub.add_parser("sweep", parents=[output], help="write a figure dataset CSV")
+    for name, parent, run, text in (
+        ("range", radio, _cmd_range, "print the activation range in meters"),
+        ("sources", field, _cmd_sources, "print the required source count"),
+        ("power", field, _cmd_power, "print required transmit power"),
+        ("deploy", placement, _cmd_deploy, "write placement and coverage CSVs"),
+        ("interference", placement, _cmd_interference, "write the interference report CSV"),
+        ("sweep", output, _cmd_sweep, "write a figure dataset CSV"),
+    ):
+        sub.add_parser(name, parents=[parent], help=text).set_defaults(run=run)
+    sub.choices["power"].add_argument("--k", type=int, required=True, help="number of sources")
+    p_sweep = sub.choices["sweep"]
     p_sweep.add_argument("--figure", type=int, required=True, choices=figures.FIGURES)
     p_sweep.add_argument("--svg", action="store_true", help="also write an SVG plot")
     return parser
@@ -187,21 +190,11 @@ def _cmd_sweep(args, scenario: Scenario) -> int:
     return 0
 
 
-_COMMANDS = {
-    "range": _cmd_range,
-    "sources": _cmd_sources,
-    "power": _cmd_power,
-    "deploy": _cmd_deploy,
-    "interference": _cmd_interference,
-    "sweep": _cmd_sweep,
-}
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args, _scenario_from_args(args))
+        return args.run(args, _scenario_from_args(args))
     except _UsageError as exc:
         print(exc, file=sys.stderr)
         return 1

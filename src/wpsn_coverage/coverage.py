@@ -124,7 +124,7 @@ def required_power(
     p_t = (2.0 * math.pi * a * f * f * v * v) / (
         SPEED_OF_LIGHT * SPEED_OF_LIGHT * k * gains * radio.loop_resistance_ohm
     )
-    return Power(p_t)
+    return Power(_positive(p_t, "required transmit power [W]"))
 
 
 def max_area(k: int, radio: RadioParams) -> Area:

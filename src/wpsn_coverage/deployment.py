@@ -19,6 +19,12 @@ from . import kernels
 from .coverage import EventField, Strategy
 from .quantities import ValidationError, _positive
 
+# Most sources place_sources lays on a grid. The count follows the user's
+# radius with no other bound (1e-300 m on the design field asks for ~1e604),
+# and building, storing and querying the grid grow with it: placing 10^6
+# already takes ~0.7 s and ~200 MB, far past any real deployment.
+MAX_GRID_SOURCES = 10**6
+
 
 def _point_array(points, field: EventField, what: str) -> np.ndarray:
     """Read-only (N, 2) float64 copy of (x, y) pairs that lie in the field."""
@@ -96,16 +102,26 @@ def place_sources(
             f"no disc of radius {r} m fits in a {field.width} x {field.height} m field"
         )
 
-    positions: list[tuple[float, float]] = []
     if strategy is Strategy.SQUARE_GRID:
-        nx = int(field.width // (2.0 * r))
-        ny = int(field.height // (2.0 * r))
-        for j in range(ny):
-            for i in range(nx):
-                positions.append(((2 * i + 1) * r, (2 * j + 1) * r))
+        nx, ny = field.width // (2.0 * r), field.height // (2.0 * r)
     else:  # hex grid: row pitch r*sqrt(3), alternate rows shifted by r
         # tiny inflation keeps adjacent-row spacing >= 2r under fp rounding
         pitch = r * math.sqrt(3.0) * (1.0 + 1e-9)
+        # the loops' own bounds: the unshifted rows are the longest
+        nx = (field.width - 2.0 * r + 1e-12) // (2.0 * r) + 1
+        ny = (field.height - 2.0 * r + 1e-12) // pitch + 1
+    if nx * ny > MAX_GRID_SOURCES:  # floats: an absurd grid is inf, not a long loop
+        raise ValidationError(
+            f"a {strategy.value} of radius {r} m on the {field.width} x {field.height} m field"
+            f" needs up to {nx * ny:.7g} sources, over the cap of {MAX_GRID_SOURCES}"
+        )
+
+    positions: list[tuple[float, float]] = []
+    if strategy is Strategy.SQUARE_GRID:
+        for j in range(int(ny)):
+            for i in range(int(nx)):
+                positions.append(((2 * i + 1) * r, (2 * j + 1) * r))
+    else:
         j = 0
         y = r
         while y <= field.height - r + 1e-12:
@@ -176,23 +192,16 @@ def monte_carlo_coverage(
     sx, sy = dep.sources[:, 0], dep.sources[:, 1]
     w, h = dep.field.width, dep.field.height
     workers = min(workers, os.cpu_count() or 1, -(-samples // kernels._CHUNK))
+    block = -(-samples // workers)
 
+    def span(lo: int) -> int:
+        return kernels.covered_count(seed, lo, min(block, samples - lo), w, h, sx, sy, dep.r_rf)
+
+    starts = range(0, samples, block)
     if workers == 1:
-        total = kernels.covered_count(seed, 0, samples, w, h, sx, sy, dep.r_rf)
-    else:
-        block = (samples + workers - 1) // workers
-        spans = [
-            (lo, min(block, samples - lo)) for lo in range(0, samples, block)
-        ]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            counts = pool.map(
-                lambda span: kernels.covered_count(
-                    seed, span[0], span[1], w, h, sx, sy, dep.r_rf
-                ),
-                spans,
-            )
-            total = sum(counts)
-    return total / samples
+        return sum(map(span, starts)) / samples
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return sum(pool.map(span, starts)) / samples
 
 
 def detect_interference(dep: Deployment, nodes: NodeField) -> InterferenceReport:

@@ -35,7 +35,7 @@ class _Figure:
     columns: tuple[str, ...]
     # (axis value, series values, radio, field) -> the row's output columns
     relation: Callable[[float, tuple, RadioParams, EventField], tuple[float, ...]]
-    plot: PlotOptions
+    title: str  # the SVG plot's; its axes and series follow from columns
 
     def grid(self) -> list[float]:
         if self.log:
@@ -60,7 +60,7 @@ _TABLE = {
         "received_power", 0.0, 1.0e-4, False, (1.25e-5,), ((),),
         ("p_r_w", "v_induced_v"),
         lambda p_r, _, radio, field: (induced_voltage(p_r, radio.r_r, radio.r_l).volts,),
-        PlotOptions(x_col="p_r_w", y_col="v_induced_v", title="Induced voltage vs received power"),
+        "Induced voltage vs received power",
     ),
     5: _Figure(
         "transmit_power", 0.1, 10.0, True, (1.0, 4.0),
@@ -69,20 +69,14 @@ _TABLE = {
         lambda p_t, s, radio, field: (
             max_range(radio.with_power(p_t).with_frequency(s[0])).meters,
         ),
-        PlotOptions(
-            x_col="p_t_w", y_col="max_range_m", series_cols=("f_hz",), log_x=True,
-            title="Activation range vs transmit power",
-        ),
+        "Activation range vs transmit power",
     ),
     6: _Figure(
         "transmit_power", 0.1, 10.0, True, (1.0, 4.0),
         tuple((f,) for f in FREQUENCY_SERIES_HZ),
         ("p_t_w", "f_hz", "k_exact", "k_required"),
         lambda p_t, s, radio, field: _sources(field, radio.with_power(p_t).with_frequency(s[0])),
-        PlotOptions(
-            x_col="p_t_w", y_col="k_exact", series_cols=("f_hz",), log_x=True,
-            title="Required sources vs transmit power",
-        ),
+        "Required sources vs transmit power",
     ),
     7: _Figure(
         "frequency", 5.0e8, 2.0e9, False, (1.0e9,),
@@ -91,20 +85,14 @@ _TABLE = {
         lambda f, s, radio, field: (
             required_power(field, int(s[0]), radio.with_frequency(f)).watts,
         ),
-        PlotOptions(
-            x_col="f_hz", y_col="required_power_w", series_cols=("k",),
-            title="Required transmit power vs frequency",
-        ),
+        "Required transmit power vs frequency",
     ),
     8: _Figure(
         "area", 1.0e3, 1.0e5, False, (4.0e4,),
         tuple((1.0, f) for f in FREQUENCY_SERIES_HZ),
         ("area_m2", "p_t_w", "f_hz", "k_exact", "k_required"),
         lambda area, s, radio, field: _sources(area, radio.with_power(s[0]).with_frequency(s[1])),
-        PlotOptions(
-            x_col="area_m2", y_col="k_exact", series_cols=("p_t_w", "f_hz"),
-            title="Required sources vs event area",
-        ),
+        "Required sources vs event area",
     ),
 }
 
@@ -144,4 +132,10 @@ def figure_table(figure: int, radio: RadioParams, field: EventField) -> SweepTab
 
 
 def figure_plot_options(figure: int) -> PlotOptions:
-    return _entry(figure).plot
+    """The axis against the first output column, one line per series value."""
+    fig = _entry(figure)
+    n = len(fig.series[0])
+    return PlotOptions(
+        x_col=fig.columns[0], y_col=fig.columns[1 + n], series_cols=fig.columns[1 : 1 + n],
+        log_x=fig.log, title=fig.title,
+    )

@@ -19,6 +19,8 @@ import math
 
 import numpy as np
 
+from .quantities import ValidationError
+
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
@@ -39,8 +41,10 @@ def _finalize(z: np.ndarray) -> np.ndarray:
 
 def uniform_block(seed: int, start: int, count: int) -> np.ndarray:
     """Uniform [0,1) doubles for counters start .. start+count-1."""
+    if not 0 <= seed < 1 << 64:  # one stream per seed: no two seeds alias modulo 2**64
+        raise ValidationError(f"seed must be in [0, 2**64), got {seed}")
     ctr = np.arange(start, start + count, dtype=np.uint64)
-    z = _finalize(np.uint64(seed & 0xFFFFFFFFFFFFFFFF) + (ctr + np.uint64(1)) * _GOLDEN)
+    z = _finalize(np.uint64(seed) + (ctr + np.uint64(1)) * _GOLDEN)
     return (z >> np.uint64(11)).astype(np.float64) * _INV_2_53
 
 

@@ -78,16 +78,8 @@ class RadioParams:
         r_r_ohm: float = 50.0,
         r_l_ohm: float = 50.0,
     ) -> "RadioParams":
-        """Radio whose p_t*g_t*g_r equals the given product (unit gains)."""
-        return cls(
-            p_t=Power(eirp_product_w),
-            g_t=Gain(1.0),
-            g_r=Gain(1.0),
-            f=Frequency(f_hz),
-            v_min=Voltage(v_min_v),
-            r_r=Resistance(r_r_ohm),
-            r_l=Resistance(r_l_ohm),
-        )
+        """Radio whose p_t*g_t*g_r equals the given product (unit gains: 0 dBi)."""
+        return cls.from_si(eirp_product_w, 0.0, 0.0, f_hz, v_min_v, r_r_ohm, r_l_ohm)
 
     @property
     def eirp_product_w(self) -> float:
@@ -152,6 +144,8 @@ def max_range(radio: RadioParams) -> Length:
     """Activation range: the distance at which the induced voltage equals
     the node's threshold."""
     p_threshold = power_from_voltage(radio.v_min, radio.r_r, radio.r_l).watts
+    if p_threshold == 0.0:
+        raise ValidationError("activation threshold power underflows to 0 W")
     lam = wavelength(radio.f).meters
     return Length(lam / (4.0 * math.pi) * math.sqrt(radio.eirp_product_w / p_threshold))
 

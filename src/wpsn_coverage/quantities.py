@@ -117,7 +117,10 @@ class Area:
 def dbi_to_linear(gain_dbi: float) -> Gain:
     """Convert antenna gain in dBi to a linear ratio."""
     g = _finite(gain_dbi, "gain [dBi]")
-    return Gain(10.0 ** (g / 10.0))
+    try:
+        return Gain(10.0 ** (g / 10.0))
+    except OverflowError:
+        raise ValidationError(f"gain [dBi] {g!r} overflows a float as a linear ratio") from None
 
 
 def linear_to_dbi(gain: Gain | float) -> float:

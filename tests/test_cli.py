@@ -260,6 +260,36 @@ class TestErrorHandling:
         assert code == 1
         assert err != ""
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["range", "--g-t-dbi", "4000"],  # gain overflows
+            ["sources", "--g-t-dbi", "4000"],
+            ["range", "--v-min-v", "1e-170"],  # threshold power underflows to 0
+            ["range", "--r-r-ohm", "1e308", "--r-l-ohm", "1e308"],
+            ["power", "--k", "6", "--v-min-v", "1e-170"],  # required power underflows to 0
+            ["sweep", "--figure", "7", "--v-min-v", "1e-170"],
+            ["deploy", "--nodes", "5", "--seed", "-1"],  # seeds span [0, 2**64)
+            ["deploy", "--nodes", "5", "--seed", "18446744073709551616"],
+        ],
+        ids=" ".join,
+    )
+    def test_out_of_range_value_is_one_error_line(self, capsys, tmp_path, argv):
+        out_dir = tmp_path / "o"
+        if argv[0] in ("sweep", "deploy"):
+            argv = [*argv, "--out", str(out_dir)]
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out_dir.exists()
+
+    def test_largest_seed_accepted(self, capsys, tmp_path):
+        argv = ["deploy", "--nodes", "5", "--seed", str(2**64 - 1), "--out", str(tmp_path)]
+        code, _, err = run(capsys, *argv)
+        assert code == 0, err
+        assert f"# node_seed = {2**64 - 1}\n" in (tmp_path / "coverage.csv").read_text()
+
 
 def _deploy_flags():
     """(flag, dest) of each scenario flag; deploy takes all of them."""

@@ -1,10 +1,14 @@
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from wpsn_coverage import deployment
 from wpsn_coverage.coverage import EventField, source_count_from_range
 from wpsn_coverage.deployment import (
     Deployment,
@@ -16,6 +20,14 @@ from wpsn_coverage.deployment import (
     scatter_nodes,
 )
 from wpsn_coverage.quantities import ValidationError
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _limit_memory():
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
 
 def pairwise_min_distance(sources):
@@ -51,6 +63,46 @@ class TestPlaceSources:
     def test_strategy_accepts_strings(self):
         dep = place_sources(EventField(50.0, 50.0), 10.0, "hex_grid")
         assert dep.strategy is Strategy.HEX_GRID
+
+    @pytest.mark.parametrize("strategy", ["square_grid", "hex_grid"])
+    def test_tiny_radius_rejected_before_any_loop(self, tmp_path, strategy):
+        # an unbounded grid loop at 1e-300 m runs until killed: a child
+        # process under a time and a 1 GiB address-space limit keeps it
+        # from hanging or exhausting the host
+        path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1"}
+        argv = ["deploy", "--r-rf-m", "1e-300", "--strategy", strategy, "--out", str(tmp_path)]
+        proc = subprocess.run(
+            [sys.executable, "-m", "wpsn_coverage.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=60, preexec_fn=_limit_memory,
+        )
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        assert f"over the cap of {deployment.MAX_GRID_SOURCES}" in proc.stderr
+
+    @pytest.mark.parametrize(
+        "field, strategy, count",
+        [
+            (EventField(202.0, 19802.0), Strategy.SQUARE_GRID, 101 * 9901),
+            (EventField(201.0, 17323.0), Strategy.HEX_GRID, 100 * 10001),
+        ],
+    )
+    def test_grid_just_over_the_cap_rejected(self, field, strategy, count):
+        assert deployment.MAX_GRID_SOURCES == 10**6
+        with pytest.raises(ValidationError, match=f"needs up to {count} sources"):
+            place_sources(field, 1.0, strategy)
+
+    @pytest.mark.parametrize("strategy", [Strategy.SQUARE_GRID, Strategy.HEX_GRID])
+    def test_cap_counts_no_fewer_than_placed(self, monkeypatch, strategy):
+        field = EventField(103.0, 71.0)
+        placed = len(place_sources(field, 3.0, strategy).sources)
+        monkeypatch.setattr(deployment, "MAX_GRID_SOURCES", placed - 1)
+        with pytest.raises(ValidationError, match="cap"):
+            place_sources(field, 3.0, strategy)
+        if strategy is Strategy.SQUARE_GRID:  # the square count is exact
+            monkeypatch.setattr(deployment, "MAX_GRID_SOURCES", placed)
+            assert len(place_sources(field, 3.0, strategy).sources) == placed
 
     @settings(max_examples=60, deadline=None)
     @given(

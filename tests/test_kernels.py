@@ -22,6 +22,7 @@ from wpsn_coverage.deployment import (
     coverage_report,
     detect_interference,
 )
+from wpsn_coverage.quantities import ValidationError
 
 
 # brute-force references ---------------------------------------------------
@@ -218,6 +219,13 @@ class TestCounterGenerator:
     def test_mean_near_half(self, impl):
         u = impl.uniform_block(3, 0, 10**6)
         assert abs(u.mean() - 0.5) < 0.002
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 1])
+    def test_seed_outside_64_bits_rejected(self, impl, seed):
+        # a mask would make -1 and 2**64 - 1, or 1 and 2**64 + 1, one stream
+        assert impl.uniform_block(2**64 - 1, 0, 4).shape == (4,)
+        with pytest.raises(ValidationError, match="seed"):
+            impl.uniform_block(seed, 0, 4)
 
     def test_seeds_decorrelate(self, impl):
         a = impl.uniform_block(1, 0, 1000)
