@@ -76,11 +76,16 @@ class SourceCount:
 
 
 def _area_m2(area: Area | EventField | float) -> float:
-    if isinstance(area, EventField):
-        return area.area
-    if isinstance(area, Area):
-        return area.sq_meters
-    return Area(area).sq_meters
+    return area.area if isinstance(area, EventField) else Area.of(area)
+
+
+def _source_count_arg(k: int) -> float:
+    if k < 1:
+        raise ValidationError(f"source count must be >= 1, got {k}")
+    try:
+        return float(k)
+    except OverflowError:
+        raise ValidationError(f"source count ~1e{int(math.log10(k))} overflows a float") from None
 
 
 def source_count_from_range(
@@ -88,7 +93,7 @@ def source_count_from_range(
 ) -> SourceCount:
     """Disc count area / (pi r^2) for a given per-source range."""
     a = _area_m2(area)
-    r = r_rf.meters if isinstance(r_rf, Length) else Length(r_rf).meters
+    r = Length.of(r_rf)
     return SourceCount.from_exact(a / (math.pi * r * r))
 
 
@@ -115,8 +120,7 @@ def required_power(
     taken from it. Feeding the result back into source_count yields
     exact = k.
     """
-    if k < 1:
-        raise ValidationError(f"source count must be >= 1, got {k}")
+    k = _source_count_arg(k)
     a = _area_m2(area)
     f = radio.f.hertz
     v = radio.v_min.volts
@@ -129,7 +133,6 @@ def required_power(
 
 def max_area(k: int, radio: RadioParams) -> Area:
     """Largest area k sources can cover at the radio's activation range."""
-    if k < 1:
-        raise ValidationError(f"source count must be >= 1, got {k}")
+    k = _source_count_arg(k)
     r = max_range(radio).meters
     return Area(k * math.pi * r * r)

@@ -107,13 +107,17 @@ class LinkResult:
     distance: Length
 
 
-def _meters(d: Length | float) -> float:
-    return d.meters if isinstance(d, Length) else Length(d).meters
+def _loop_factor(r_r: Resistance | float, r_l: Resistance | float) -> float:
+    """8 (R_r + R_l) in ohms, the ratio V^2 / P_r."""
+    factor = 8.0 * (Resistance.of(r_r) + Resistance.of(r_l))
+    if factor == math.inf:
+        raise ValidationError("loop resistance r_r + r_l overflows a float in 8 (r_r + r_l)")
+    return factor
 
 
 def received_power(radio: RadioParams, d: Length | float) -> Power:
     """Free-space received power at distance d."""
-    d_m = _meters(d)
+    d_m = Length.of(d)
     lam = wavelength(radio.f).meters
     factor = lam / (4.0 * math.pi * d_m)
     return Power(radio.eirp_product_w * factor * factor)
@@ -123,10 +127,8 @@ def induced_voltage(
     p_r: Power | float, r_r: Resistance | float, r_l: Resistance | float
 ) -> Voltage:
     """Voltage induced on the node antenna by received power p_r."""
-    watts = p_r.watts if isinstance(p_r, Power) else Power(p_r).watts
-    r_r_ohm = r_r.ohms if isinstance(r_r, Resistance) else Resistance(r_r).ohms
-    r_l_ohm = r_l.ohms if isinstance(r_l, Resistance) else Resistance(r_l).ohms
-    return Voltage(math.sqrt(8.0 * (r_r_ohm + r_l_ohm) * watts))
+    watts = Power.of(p_r)
+    return Voltage(math.sqrt(_loop_factor(r_r, r_l) * watts))
 
 
 def power_from_voltage(
@@ -134,10 +136,8 @@ def power_from_voltage(
 ) -> Power:
     """Received power equivalent of an induced voltage; inverse of
     :func:`induced_voltage`."""
-    volts = v.volts if isinstance(v, Voltage) else Voltage(v).volts
-    r_r_ohm = r_r.ohms if isinstance(r_r, Resistance) else Resistance(r_r).ohms
-    r_l_ohm = r_l.ohms if isinstance(r_l, Resistance) else Resistance(r_l).ohms
-    return Power(volts * volts / (8.0 * (r_r_ohm + r_l_ohm)))
+    volts = Voltage.of(v)
+    return Power(volts * volts / _loop_factor(r_r, r_l))
 
 
 def max_range(radio: RadioParams) -> Length:
@@ -154,4 +154,4 @@ def link_at(radio: RadioParams, d: Length | float) -> LinkResult:
     """Received power and induced voltage at distance d."""
     p_r = received_power(radio, d)
     v = induced_voltage(p_r, radio.r_r, radio.r_l)
-    return LinkResult(p_r=p_r, v_induced=v, distance=Length(_meters(d)))
+    return LinkResult(p_r=p_r, v_induced=v, distance=Length(Length.of(d)))

@@ -42,94 +42,96 @@ def _non_negative(value, name: str) -> float:
     return out
 
 
+class _Quantity:
+    """One float field in SI units, checked at construction. A subclass
+    gives its error label and whether zero is allowed as class keywords."""
+
+    def __init_subclass__(cls, label: str, zero_ok: bool = False):
+        cls._label = label
+        cls._check = staticmethod(_non_negative if zero_ok else _positive)
+
+    def __post_init__(self):
+        name = self.__match_args__[0]
+        object.__setattr__(self, name, self._check(getattr(self, name), self._label))
+
+    @classmethod
+    def of(cls, value) -> float:
+        """SI value of a quantity of this class, or of a number checked as one."""
+        return getattr(value if isinstance(value, cls) else cls(value), cls.__match_args__[0])
+
+
 @dataclass(frozen=True)
-class Power:
+class Power(_Quantity, label="power [W]", zero_ok=True):
     """RF power in watts; non-negative (received power may be zero)."""
 
     watts: float
 
-    def __post_init__(self):
-        object.__setattr__(self, "watts", _non_negative(self.watts, "power [W]"))
-
 
 @dataclass(frozen=True)
-class Frequency:
+class Frequency(_Quantity, label="frequency [Hz]"):
     """Carrier frequency in hertz; strictly positive."""
 
     hertz: float
 
-    def __post_init__(self):
-        object.__setattr__(self, "hertz", _positive(self.hertz, "frequency [Hz]"))
-
 
 @dataclass(frozen=True)
-class Gain:
+class Gain(_Quantity, label="gain [linear]"):
     """Antenna gain as a linear (dimensionless) ratio; strictly positive."""
 
     linear: float
 
-    def __post_init__(self):
-        object.__setattr__(self, "linear", _positive(self.linear, "gain [linear]"))
-
 
 @dataclass(frozen=True)
-class Resistance:
+class Resistance(_Quantity, label="resistance [ohm]"):
     """Resistance in ohms; strictly positive, purely real."""
 
     ohms: float
 
-    def __post_init__(self):
-        object.__setattr__(self, "ohms", _positive(self.ohms, "resistance [ohm]"))
-
 
 @dataclass(frozen=True)
-class Voltage:
+class Voltage(_Quantity, label="voltage [V]", zero_ok=True):
     """Voltage magnitude in volts; non-negative (zero received power
     induces zero volts). Threshold voltages must additionally be positive,
     which is enforced where they are consumed."""
 
     volts: float
 
-    def __post_init__(self):
-        object.__setattr__(self, "volts", _non_negative(self.volts, "voltage [V]"))
-
 
 @dataclass(frozen=True)
-class Length:
+class Length(_Quantity, label="length [m]"):
     """Length in meters; strictly positive."""
 
     meters: float
 
-    def __post_init__(self):
-        object.__setattr__(self, "meters", _positive(self.meters, "length [m]"))
-
 
 @dataclass(frozen=True)
-class Area:
+class Area(_Quantity, label="area [m^2]"):
     """Area in square meters; strictly positive."""
 
     sq_meters: float
 
-    def __post_init__(self):
-        object.__setattr__(self, "sq_meters", _positive(self.sq_meters, "area [m^2]"))
+
+def _db_to_ratio(db: float) -> float:
+    """The linear ratio 10^(db/10); inf where that overflows a float."""
+    try:
+        return 10.0 ** (db / 10.0)
+    except OverflowError:
+        return math.inf
 
 
 def dbi_to_linear(gain_dbi: float) -> Gain:
     """Convert antenna gain in dBi to a linear ratio."""
     g = _finite(gain_dbi, "gain [dBi]")
-    try:
-        return Gain(10.0 ** (g / 10.0))
-    except OverflowError:
-        raise ValidationError(f"gain [dBi] {g!r} overflows a float as a linear ratio") from None
+    if (linear := _db_to_ratio(g)) == math.inf:
+        raise ValidationError(f"gain [dBi] {g!r} overflows a float as a linear ratio")
+    return Gain(linear)
 
 
 def linear_to_dbi(gain: Gain | float) -> float:
     """Convert a linear gain ratio to dBi; inverse of :func:`dbi_to_linear`."""
-    linear = gain.linear if isinstance(gain, Gain) else _positive(gain, "gain [linear]")
-    return 10.0 * math.log10(linear)
+    return 10.0 * math.log10(Gain.of(gain))
 
 
 def wavelength(freq: Frequency | float) -> Length:
     """Free-space wavelength c/f, with c = 3e8 m/s exactly."""
-    hertz = freq.hertz if isinstance(freq, Frequency) else _positive(freq, "frequency [Hz]")
-    return Length(SPEED_OF_LIGHT / hertz)
+    return Length(SPEED_OF_LIGHT / Frequency.of(freq))

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, fields, replace
 
 from .coverage import EventField, Strategy
 from .link_budget import RadioParams
-from .quantities import ValidationError
+from .quantities import ValidationError, _db_to_ratio
 
 
 class ScenarioError(ValidationError):
@@ -70,7 +70,7 @@ def parse_magnitude(raw: str, dimension: str, key: str) -> float:
     except ValueError:
         raise UnitError(f"{key}: bad number {number!r}") from None
     if dimension == "power" and suffix == "dbm":
-        return 10.0 ** ((value - 30.0) / 10.0)
+        return _db_to_ratio(value - 30.0)
     table = _UNIT_TABLES[dimension]
     if suffix not in table:
         raise UnitError(

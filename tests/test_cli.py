@@ -271,6 +271,10 @@ class TestErrorHandling:
             ["sweep", "--figure", "7", "--v-min-v", "1e-170"],
             ["deploy", "--nodes", "5", "--seed", "-1"],  # seeds span [0, 2**64)
             ["deploy", "--nodes", "5", "--seed", "18446744073709551616"],
+            ["deploy", "--nodes", "100000000000"],  # over deployment.MAX_NODES
+            pytest.param(["power", "--k", "1" + "0" * 400], id="power --k 10**400"),  # not a float
+            ["sweep", "--figure", "4", "--r-r-ohm", "1e308"],  # 8 (r_r + r_l) overflows
+            ["range", "--p-t-w", "4000dBm"],  # watts overflow a float
         ],
         ids=" ".join,
     )
@@ -312,6 +316,7 @@ def test_scenario_flags_store_scenario_keys():
 
 PARITY_TEXTS = (
     "8.5", "8.5 dBi", "1_0", "1e999", "-1", "30dBm", " 12", "2GHz", "hex_grid", " hex_grid",
+    "4000dBm",
 )
 
 

@@ -119,6 +119,10 @@ class TestRequiredPower:
         with pytest.raises(ValidationError):
             required_power(4e4, 0, design_radio)
 
+    def test_rejects_k_beyond_float_range(self, design_radio):
+        with pytest.raises(ValidationError, match="overflows a float"):
+            required_power(4e4, 10**400, design_radio)
+
 
 class TestMaxArea:
     def test_single_source(self, design_radio):
@@ -139,6 +143,10 @@ class TestMaxArea:
     def test_rejects_k_below_one(self, design_radio):
         with pytest.raises(ValidationError):
             max_area(0, design_radio)
+
+    def test_rejects_k_beyond_float_range(self, design_radio):
+        with pytest.raises(ValidationError, match="overflows a float"):
+            max_area(10**400, design_radio)
 
 
 class TestMonotonicity:

@@ -156,6 +156,14 @@ class TestScatterNodes:
         with pytest.raises(ValidationError):
             scatter_nodes(EventField(10.0, 10.0), -1, seed=0)
 
+    def test_rejects_count_over_cap(self, monkeypatch):
+        assert deployment.MAX_NODES >= 10**6  # the scaled benchmark's node count
+        monkeypatch.setattr(deployment, "MAX_NODES", 10)
+        field = EventField(10.0, 10.0)
+        assert len(scatter_nodes(field, 10, seed=0).positions) == 10
+        with pytest.raises(ValidationError, match="node count must be <= 10, got 11"):
+            scatter_nodes(field, 11, seed=0)
+
 
 class TestCoverageReport:
     def test_boundary_rule(self):
@@ -216,6 +224,13 @@ class TestCoverageReport:
         with pytest.raises(ValidationError):
             coverage_report(dep, nodes)
 
+    @pytest.mark.parametrize("query", [coverage_report, detect_interference])
+    def test_nodes_on_another_field_rejected(self, query):
+        dep = Deployment(EventField(20.0, 20.0), ((10.0, 10.0),), 5.0, Strategy.EXPLICIT)
+        nodes = _nodes_at(EventField(20.0, 30.0), [(10.0, 10.0)])
+        with pytest.raises(ValidationError, match="node field does not match"):
+            query(dep, nodes)
+
 
 class TestMonteCarloCoverage:
     def test_single_disc_pi_over_4(self):
@@ -233,6 +248,13 @@ class TestMonteCarloCoverage:
     def test_zero_sources(self):
         dep = Deployment(EventField(20.0, 20.0), (), 5.0, Strategy.EXPLICIT)
         assert monte_carlo_coverage(dep, 1000, seed=0) == 0.0
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_zero_sources_any_worker_count(self, workers):
+        dep = Deployment(EventField(20.0, 20.0), (), 5.0, Strategy.EXPLICIT)
+        # more than one kernel chunk, so two workers may each take a block
+        samples = 2 * deployment.kernels._CHUNK + 1
+        assert monte_carlo_coverage(dep, samples, seed=0, workers=workers) == 0.0
 
     def test_worker_count_invariance(self):
         dep = place_sources(EventField(200.0, 200.0), 15.0, Strategy.HEX_GRID)

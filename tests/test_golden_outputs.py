@@ -8,6 +8,9 @@ CSV) changes them.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -118,3 +121,26 @@ def test_figure_bytes_pinned(tmp_path, capsys, name, figure):
         for ext in ("csv", "svg")
     )
     assert digests == FIGURE_GOLDEN[name][figure]
+
+
+# numpy's dispatch without its AVX-512 paths, as on a CPU that lacks them
+NO_AVX512 = "AVX512_SPR AVX512_ICL AVX512_SKX AVX512_CLX AVX512_CNL AVX512CD AVX512F X86_V4"
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+@pytest.mark.parametrize("figure", [5, 6])
+def test_log_figure_bytes_without_avx512(tmp_path, figure):
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path, "NPY_DISABLE_CPU_FEATURES": NO_AVX512}
+    argv = ["sweep", "--figure", str(figure), "--svg", "--out", str(tmp_path)]
+    proc = subprocess.run(
+        [sys.executable, "-m", "wpsn_coverage.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    digests = tuple(
+        hashlib.sha256((tmp_path / f"figure{figure}.{ext}").read_bytes()).hexdigest()
+        for ext in ("csv", "svg")
+    )
+    if digests != FIGURE_GOLDEN["default"][figure]:
+        pytest.xfail("ROADMAP item 1: np.logspace rounds differently without AVX-512")

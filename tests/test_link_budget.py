@@ -91,6 +91,12 @@ class TestVoltagePowerPair:
     def test_zero_voltage_zero_power(self):
         assert power_from_voltage(0.0, 50.0, 50.0).watts == 0.0
 
+    @pytest.mark.parametrize("convert, x", [(induced_voltage, 0.0), (power_from_voltage, 0.1)])
+    def test_overflowing_loop_resistance_named(self, convert, x):
+        # 8 (r_r + r_l) overflows; at p_r = 0 it used to surface as a NaN voltage
+        with pytest.raises(ValidationError, match=r"loop resistance r_r \+ r_l"):
+            convert(x, 1e308, 50.0)
+
     @given(
         st.floats(min_value=1e-6, max_value=1e3),
         st.floats(min_value=1.0, max_value=1e3),

@@ -37,6 +37,31 @@ class TestConstruction:
         assert Voltage(0.0).volts == 0.0
 
 
+QUANTITIES = [Power, Frequency, Gain, Resistance, Voltage, Length, Area]
+
+
+class TestOf:
+    @pytest.mark.parametrize("cls", QUANTITIES)
+    @pytest.mark.parametrize("x", [1, 2.5, 1e-300, 1e300])
+    def test_quantity_and_number_agree(self, cls, x):
+        assert cls.of(cls(x)) == cls.of(x) == float(x)
+
+    @pytest.mark.parametrize("cls", QUANTITIES)
+    @pytest.mark.parametrize("bad", [-1.0, float("nan"), float("inf"), None, "x"])
+    def test_number_rejected_as_by_constructor(self, cls, bad):
+        with pytest.raises(ValidationError) as made:
+            cls(bad)
+        with pytest.raises(ValidationError) as coerced:
+            cls.of(bad)
+        assert str(coerced.value) == str(made.value)
+
+    @pytest.mark.parametrize("cls", QUANTITIES)
+    def test_other_quantity_rejected(self, cls):
+        other = Length(1.0) if cls is Area else Area(1.0)
+        with pytest.raises(ValidationError, match="must be a real number"):
+            cls.of(other)
+
+
 class TestDbiConversion:
     def test_zero_dbi_is_unity(self):
         assert dbi_to_linear(0.0).linear == 1.0

@@ -1,3 +1,4 @@
+import re
 from dataclasses import fields
 
 import pytest
@@ -150,6 +151,13 @@ def test_load_scenario_error_names_the_file(tmp_path, text, error):
     with pytest.raises(error) as info:
         load_scenario(path)
     assert str(info.value).startswith(f"{path}: ")
+
+
+def test_overflowing_dbm_value_names_the_file(tmp_path):
+    path = tmp_path / "f.scn"
+    path.write_text("p_t_w = 4000 dBm\n")
+    with pytest.raises(UnitError, match=f"^{re.escape(str(path))}: p_t_w: "):
+        load_scenario(path)
 
 
 class TestRoundTrip:
