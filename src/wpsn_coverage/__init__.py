@@ -18,11 +18,10 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "quantities": (
         "SPEED_OF_LIGHT", "Area", "Frequency", "Gain", "Length", "Power", "Resistance",
-        "ValidationError", "Voltage", "dbi_to_linear", "linear_to_dbi", "wavelength",
+        "ValidationError", "Voltage", "dbi_to_linear", "wavelength",
     ),
     "link_budget": (
-        "LinkResult", "RadioParams", "induced_voltage", "link_at", "max_range",
-        "power_from_voltage", "received_power",
+        "RadioParams", "induced_voltage", "max_range", "power_from_voltage", "received_power",
     ),
     "coverage": (
         "EventField", "SourceCount", "Strategy", "max_area", "required_power", "source_count",
@@ -35,7 +34,7 @@ _EXPORTS = {
     "sweep_report": (
         "PlotOptions", "SweepTable", "render_csv", "render_svg", "write_csv", "write_svg_plot",
     ),
-    "scenario": ("Scenario", "load_scenario", "parse_scenario", "serialize_scenario"),
+    "scenario": ("Scenario", "load_scenario", "parse_scenario"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

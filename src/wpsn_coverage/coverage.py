@@ -18,6 +18,7 @@ from .quantities import (
     Length,
     Power,
     ValidationError,
+    _Quantity,
     _positive,
 )
 from .link_budget import RadioParams, max_range
@@ -58,21 +59,14 @@ class Strategy(str, Enum):
 
 
 @dataclass(frozen=True)
-class SourceCount:
-    """Analytic source count and the integer a deployment actually needs."""
+class SourceCount(_Quantity, label="source count"):
+    """Analytic source count; `required` is the integer a deployment needs."""
 
     exact: float
-    required: int
 
-    def __post_init__(self):
-        _positive(self.exact, "source count")
-        if self.required != math.ceil(self.exact):
-            raise ValidationError("required must be ceil(exact)")
-
-    @classmethod
-    def from_exact(cls, exact: float) -> "SourceCount":
-        exact = _positive(exact, "source count")
-        return cls(exact=exact, required=math.ceil(exact))
+    @property
+    def required(self) -> int:
+        return math.ceil(self.exact)
 
 
 def _area_m2(area: Area | EventField | float) -> float:
@@ -94,7 +88,26 @@ def source_count_from_range(
     """Disc count area / (pi r^2) for a given per-source range."""
     a = _area_m2(area)
     r = Length.of(r_rf)
-    return SourceCount.from_exact(a / (math.pi * r * r))
+    return SourceCount(a / (math.pi * r * r))
+
+
+def _closed_form(what: str, area, radio: RadioParams, x: float, y: float, xy: str) -> float:
+    """(2 pi a f^2 v_min^2) / (c^2 x y (r_r + r_l)), where x y is `xy`: the
+    source count at x, y = p_t g_t g_r, 1 and the required power at k, g_t g_r.
+    A result outside (0, inf) is an overflow or underflow of these inputs."""
+    a = _area_m2(area)
+    f = radio.f.hertz
+    v = radio.v_min.volts
+    loop = radio.loop_resistance_ohm
+    den = SPEED_OF_LIGHT * SPEED_OF_LIGHT * x * y * loop
+    out = (2.0 * math.pi * a * f * f * v * v) / den if den else math.inf  # den underflowed
+    if not 0.0 < out < math.inf:
+        raise ValidationError(
+            f"{what} is {out!r}, outside (0, inf): 2 pi a f^2 v_min^2 / (c^2 {xy} (r_r + r_l))"
+            f" at area {a!r} m^2, f {f!r} Hz, v_min {v!r} V, {xy} = {x!r} * {y!r},"
+            f" r_r + r_l {loop!r} ohm"
+        )
+    return out
 
 
 def source_count(area: Area | EventField | float, radio: RadioParams) -> SourceCount:
@@ -102,13 +115,8 @@ def source_count(area: Area | EventField | float, radio: RadioParams) -> SourceC
 
     Algebraically identical to source_count_from_range(area, max_range(radio)).
     """
-    a = _area_m2(area)
-    f = radio.f.hertz
-    v = radio.v_min.volts
-    exact = (2.0 * math.pi * a * f * f * v * v) / (
-        SPEED_OF_LIGHT * SPEED_OF_LIGHT * radio.eirp_product_w * radio.loop_resistance_ohm
-    )
-    return SourceCount.from_exact(exact)
+    eirp = radio.eirp_product_w
+    return SourceCount(_closed_form("source count", area, radio, eirp, 1.0, "p_t g_t g_r"))
 
 
 def required_power(
@@ -121,14 +129,8 @@ def required_power(
     exact = k.
     """
     k = _source_count_arg(k)
-    a = _area_m2(area)
-    f = radio.f.hertz
-    v = radio.v_min.volts
     gains = radio.g_t.linear * radio.g_r.linear
-    p_t = (2.0 * math.pi * a * f * f * v * v) / (
-        SPEED_OF_LIGHT * SPEED_OF_LIGHT * k * gains * radio.loop_resistance_ohm
-    )
-    return Power(_positive(p_t, "required transmit power [W]"))
+    return Power(_closed_form("required transmit power [W]", area, radio, k, gains, "k g_t g_r"))
 
 
 def max_area(k: int, radio: RadioParams) -> Area:

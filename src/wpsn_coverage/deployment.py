@@ -75,11 +75,22 @@ class NodeField:
 class CoverageReport:
     """CSR membership: node i lies in sources indices[indptr[i]:indptr[i + 1]], in index order."""
 
-    covered_count: int
-    total_count: int
-    coverage_fraction: float
     indptr: np.ndarray  # (N + 1,) int64
     indices: np.ndarray  # source indices
+
+    @property
+    def total_count(self) -> int:
+        return len(self.indptr) - 1
+
+    @property
+    def covered_count(self) -> int:
+        # a boolean temporary, not np.diff's int64 one: N can be 10^7
+        return int(np.count_nonzero(self.indptr[1:] != self.indptr[:-1]))
+
+    @property
+    def coverage_fraction(self) -> float:
+        total = self.total_count
+        return self.covered_count / total if total else 0.0
 
 
 @dataclass(frozen=True)
@@ -165,16 +176,7 @@ def _membership(dep: Deployment, nodes: NodeField) -> tuple[np.ndarray, np.ndarr
 def coverage_report(dep: Deployment, nodes: NodeField) -> CoverageReport:
     """Exact membership coverage: a node is covered iff its distance to
     some source is <= r_rf (closed disc)."""
-    indptr, indices = _membership(dep, nodes)
-    covered = int(np.count_nonzero(np.diff(indptr)))
-    total = len(nodes.positions)
-    return CoverageReport(
-        covered_count=covered,
-        total_count=total,
-        coverage_fraction=covered / total if total else 0.0,
-        indptr=indptr,
-        indices=indices,
-    )
+    return CoverageReport(*_membership(dep, nodes))
 
 
 def monte_carlo_coverage(

@@ -98,15 +98,6 @@ class RadioParams:
         return replace(self, f=Frequency(f_hz))
 
 
-@dataclass(frozen=True)
-class LinkResult:
-    """Received power and induced voltage at one distance."""
-
-    p_r: Power
-    v_induced: Voltage
-    distance: Length
-
-
 def _loop_factor(r_r: Resistance | float, r_l: Resistance | float) -> float:
     """8 (R_r + R_l) in ohms, the ratio V^2 / P_r."""
     factor = 8.0 * (Resistance.of(r_r) + Resistance.of(r_l))
@@ -143,15 +134,18 @@ def power_from_voltage(
 def max_range(radio: RadioParams) -> Length:
     """Activation range: the distance at which the induced voltage equals
     the node's threshold."""
-    p_threshold = power_from_voltage(radio.v_min, radio.r_r, radio.r_l).watts
+    # power_from_voltage without its finiteness check: an overflow is
+    # reported below against the inputs, not as an infinite power
+    v = radio.v_min.volts
+    p_threshold = v * v / _loop_factor(radio.r_r, radio.r_l)
     if p_threshold == 0.0:
         raise ValidationError("activation threshold power underflows to 0 W")
     lam = wavelength(radio.f).meters
-    return Length(lam / (4.0 * math.pi) * math.sqrt(radio.eirp_product_w / p_threshold))
-
-
-def link_at(radio: RadioParams, d: Length | float) -> LinkResult:
-    """Received power and induced voltage at distance d."""
-    p_r = received_power(radio, d)
-    v = induced_voltage(p_r, radio.r_r, radio.r_l)
-    return LinkResult(p_r=p_r, v_induced=v, distance=Length(Length.of(d)))
+    eirp = radio.eirp_product_w
+    r = lam / (4.0 * math.pi) * math.sqrt(eirp / p_threshold)
+    if not 0.0 < r < math.inf:
+        raise ValidationError(
+            f"activation range is {r!r} m, outside (0, inf): p_t g_t g_r = {eirp!r} W,"
+            f" threshold power v_min^2 / 8 (r_r + r_l) = {p_threshold!r} W, wavelength {lam!r} m"
+        )
+    return Length(r)

@@ -127,11 +127,6 @@ def dbi_to_linear(gain_dbi: float) -> Gain:
     return Gain(linear)
 
 
-def linear_to_dbi(gain: Gain | float) -> float:
-    """Convert a linear gain ratio to dBi; inverse of :func:`dbi_to_linear`."""
-    return 10.0 * math.log10(Gain.of(gain))
-
-
 def wavelength(freq: Frequency | float) -> Length:
     """Free-space wavelength c/f, with c = 3e8 m/s exactly."""
     return Length(SPEED_OF_LIGHT / Frequency.of(freq))

@@ -219,25 +219,6 @@ def parse_scenario(text: str) -> Scenario:
     return Scenario(**values)
 
 
-def serialize_scenario(scenario: Scenario) -> str:
-    """Render a scenario back to text; parse(serialize(s)) == s."""
-    lines = []
-    for f in fields(Scenario):
-        value = getattr(scenario, f.name)
-        if value is None:
-            continue
-        if isinstance(value, Strategy):
-            rendered = value.value
-        elif f.name == "sources":
-            rendered = "; ".join(f"{x!r},{y!r}" for x, y in value)
-        elif isinstance(value, int):
-            rendered = str(value)
-        else:
-            rendered = repr(float(value))
-        lines.append(f"{f.name} = {rendered}")
-    return "\n".join(lines) + "\n"
-
-
 def load_scenario(path) -> Scenario:
     """Parse a UTF-8 scenario file; its errors name the file."""
     with open(path, "r", encoding="utf-8") as fh:

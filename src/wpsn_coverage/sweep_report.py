@@ -74,14 +74,11 @@ def render_csv(table: SweepTable) -> str:
 
 
 def write_csv(table: SweepTable, destination) -> None:
-    """Write the table to a path or text stream, one block of rows at a time."""
+    """Write the table to the file at path `destination`, one block of rows at a time."""
     _write_text(_csv_blocks(table), destination, "CSV")
 
 
 def _write_text(pieces, destination, what: str) -> None:
-    if hasattr(destination, "write"):
-        destination.writelines(pieces)
-        return
     try:
         with open(destination, "w", encoding="utf-8", newline="") as fh:
             fh.writelines(pieces)
@@ -214,5 +211,5 @@ def render_svg(table: SweepTable, options: PlotOptions) -> str:
 
 
 def write_svg_plot(table: SweepTable, options: PlotOptions, destination) -> None:
-    """Write an SVG rendering of the table to a path or text stream."""
+    """Write an SVG rendering of the table to the file at path `destination`."""
     _write_text((render_svg(table, options),), destination, "SVG")

@@ -124,6 +124,14 @@ class TestDeploy:
             )
         assert outs[0] == outs[1]
 
+    def test_no_nodes(self, capsys, tmp_path):
+        code, out, err = run(capsys, "deploy", "--nodes", "0", "--out", str(tmp_path))
+        assert code == 0, err
+        assert out.splitlines()[-1] == "coverage_fraction 0.0"
+        lines = (tmp_path / "coverage.csv").read_text().splitlines()
+        assert lines[-1] == "node,x_m,y_m,covered,first_source"
+        assert "# covered_count = 0" in lines and "# total_count = 0" in lines
+
 
 class TestInterference:
     def test_grid_is_clean(self, capsys, tmp_path, design_file):
@@ -275,6 +283,16 @@ class TestErrorHandling:
             pytest.param(["power", "--k", "1" + "0" * 400], id="power --k 10**400"),  # not a float
             ["sweep", "--figure", "4", "--r-r-ohm", "1e308"],  # 8 (r_r + r_l) overflows
             ["range", "--p-t-w", "4000dBm"],  # watts overflow a float
+            # the closed form leaves (0, inf)
+            ["sources", "--r-r-ohm", "1e308", "--r-l-ohm", "1e308"],
+            ["sources", "--f-hz", "1e300"],
+            ["sources", "--p-t-w", "1e-320", "--r-r-ohm", "1e-300", "--r-l-ohm", "1e-300"],
+            ["power", "--k", "6", "--r-r-ohm", "1e308", "--r-l-ohm", "1e308"],
+            ["sweep", "--figure", "6", "--r-r-ohm", "1e308", "--r-l-ohm", "1e308"],
+            ["sweep", "--figure", "7", "--r-r-ohm", "1e308", "--r-l-ohm", "1e308"],
+            # the activation range leaves (0, inf)
+            ["range", "--p-t-w", "1e308", "--g-t-dbi", "30"],
+            ["range", "--v-min-v", "1e200"],
         ],
         ids=" ".join,
     )

@@ -39,15 +39,67 @@ class TestEventField:
 
 class TestSourceCount:
     def test_required_is_ceiling(self):
-        k = SourceCount.from_exact(5.01)
+        k = SourceCount(5.01)
         assert k.required == 6
 
     def test_integer_exact(self):
-        assert SourceCount.from_exact(3.0).required == 3
+        assert SourceCount(3.0).required == 3
 
-    def test_rejects_inconsistent_pair(self):
-        with pytest.raises(ValidationError):
-            SourceCount(exact=5.5, required=5)
+    @given(st.floats(min_value=5e-324, max_value=1e300))
+    def test_required_is_ceiling_of_any_count(self, x):
+        assert SourceCount(x).required == math.ceil(x)
+
+    @pytest.mark.parametrize(
+        "bad, text",
+        [
+            (0, "source count must be > 0, got 0.0"),
+            (-1, "source count must be > 0, got -1.0"),
+            (math.inf, "source count must be finite, got inf"),
+            (math.nan, "source count must be finite, got nan"),
+            ("x", "source count must be a real number, got 'x'"),
+        ],
+    )
+    def test_rejects_as_before(self, bad, text):
+        with pytest.raises(ValidationError) as info:
+            SourceCount(bad)
+        assert str(info.value) == text
+
+
+class TestClosedForm:
+    """source_count and required_power against their formulas written out."""
+
+    @settings(max_examples=300)
+    @given(radio_strategy, st.floats(min_value=1.0, max_value=1e8), st.integers(1, 10**6))
+    def test_bit_identical_to_the_written_out_formula(self, radio, area, k):
+        f, v = radio.f.hertz, radio.v_min.volts
+        c, loop = 3.0e8, radio.loop_resistance_ohm
+        exact = (2.0 * math.pi * area * f * f * v * v) / (c * c * radio.eirp_product_w * loop)
+        gains = radio.g_t.linear * radio.g_r.linear
+        p_t = (2.0 * math.pi * area * f * f * v * v) / (c * c * float(k) * gains * loop)
+        assert source_count(area, radio).exact == exact
+        assert required_power(area, k, radio).watts == p_t
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda radio: source_count(4e4, radio),
+            lambda radio: required_power(4e4, 6, radio),
+        ],
+        ids=["source_count", "required_power"],
+    )
+    def test_overflowing_loop_resistance_named(self, call):
+        radio = RadioParams.from_si(1.0, 8.5, 8.5, 1e9, r_r_ohm=1e308, r_l_ohm=1e308)
+        with pytest.raises(ValidationError, match=r"r_r \+ r_l inf ohm"):
+            call(radio)
+
+    def test_denominator_underflow_named(self):
+        radio = RadioParams.from_si(1e-320, 0.0, 0.0, 1e9, r_r_ohm=1e-300, r_l_ohm=1e-300)
+        with pytest.raises(ValidationError, match=r"source count is inf.* r_r \+ r_l 2e-300 ohm"):
+            source_count(4e4, radio)
+
+    def test_overflowing_frequency_named(self, design_radio):
+        with pytest.raises(ValidationError, match=r"outside \(0, inf\).* f 1e\+300 Hz"):
+            source_count(4e4, design_radio.with_frequency(1e300))
 
 
 class TestSourceCountFromRange:

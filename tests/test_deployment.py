@@ -218,6 +218,15 @@ class TestCoverageReport:
             i for i, feeds in enumerate(expected) if len(feeds) >= 2
         )
 
+    def test_no_nodes(self):
+        field = EventField(20.0, 20.0)
+        dep = Deployment(field, ((10.0, 10.0),), 5.0, Strategy.EXPLICIT)
+        report = coverage_report(dep, scatter_nodes(field, 0, seed=0))
+        assert report.indptr.tolist() == [0]
+        assert report.indices.tolist() == []
+        assert (report.total_count, report.covered_count) == (0, 0)
+        assert report.coverage_fraction == 0.0
+
     def test_field_mismatch_rejected(self):
         dep = Deployment(EventField(20.0, 20.0), ((10.0, 10.0),), 5.0, Strategy.EXPLICIT)
         nodes = scatter_nodes(EventField(30.0, 30.0), 10, seed=0)

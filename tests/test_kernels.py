@@ -194,7 +194,7 @@ def test_memory_bounded_by_points_plus_candidates():
 
 class TestCounterGenerator:
     # one-value parametrization: keeps these tests' ids stable
-    @pytest.fixture(params=[kernels.IMPL])
+    @pytest.fixture(params=["python"])
     def impl(self, request):
         return kernels
 

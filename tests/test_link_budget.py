@@ -4,7 +4,6 @@ from hypothesis import given, strategies as st
 from wpsn_coverage.link_budget import (
     RadioParams,
     induced_voltage,
-    link_at,
     max_range,
     power_from_voltage,
     received_power,
@@ -109,6 +108,19 @@ class TestVoltagePowerPair:
 
 class TestMaxRange:
     @pytest.mark.parametrize(
+        "radio, shown",
+        [
+            (RadioParams.from_si(1e308, 30.0, 8.5, 1e9), "p_t g_t g_r = inf W"),
+            (RadioParams.from_si(1.0, 8.5, 8.5, 1e9, v_min_v=1e200),
+             r"threshold power v_min\^2 / 8 \(r_r \+ r_l\) = inf W"),
+        ],
+        ids=["eirp product", "threshold power"],
+    )
+    def test_overflow_names_its_inputs(self, radio, shown):
+        with pytest.raises(ValidationError, match=shown):
+            max_range(radio)
+
+    @pytest.mark.parametrize(
         "f_hz,expected",
         [(2e9, 6.754), (1e9, 13.508), (5e8, 27.02)],
     )
@@ -147,13 +159,12 @@ class TestMaxRange:
 
 class TestLinkAt:
     def test_result_consistent_under_voltage_power_relation(self, anchor_radio):
-        res = link_at(anchor_radio, 3.0)
+        p_r = received_power(anchor_radio, 3.0)
+        v = induced_voltage(p_r, anchor_radio.r_r, anchor_radio.r_l)
         loop = anchor_radio.loop_resistance_ohm
-        assert res.v_induced.volts**2 == pytest.approx(
-            8.0 * loop * res.p_r.watts, rel=1e-12
-        )
-        assert res.distance.meters == 3.0
+        assert v.volts**2 == pytest.approx(8.0 * loop * p_r.watts, rel=1e-12)
 
     def test_voltage_at_max_range_is_threshold(self, anchor_radio):
-        res = link_at(anchor_radio, max_range(anchor_radio))
-        assert res.v_induced.volts == pytest.approx(0.1, rel=1e-9)
+        p_r = received_power(anchor_radio, max_range(anchor_radio))
+        v = induced_voltage(p_r, anchor_radio.r_r, anchor_radio.r_l)
+        assert v.volts == pytest.approx(0.1, rel=1e-9)

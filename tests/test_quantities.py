@@ -14,7 +14,6 @@ from wpsn_coverage.quantities import (
     ValidationError,
     Voltage,
     dbi_to_linear,
-    linear_to_dbi,
     wavelength,
 )
 
@@ -72,20 +71,13 @@ class TestDbiConversion:
     def test_17_dbi(self):
         assert dbi_to_linear(17.0).linear == pytest.approx(50.119, abs=1e-3)
 
-    def test_inverse_examples(self):
-        assert linear_to_dbi(Gain(1.0)) == 0.0
-        assert linear_to_dbi(Gain(7.0795)) == pytest.approx(8.5, abs=1e-3)
-        assert linear_to_dbi(Gain(100.0)) == pytest.approx(20.0, abs=1e-12)
-
     def test_rejects_non_finite(self):
         with pytest.raises(ValidationError):
             dbi_to_linear(float("nan"))
-        with pytest.raises(ValidationError):
-            linear_to_dbi(-3.0)
 
     @given(st.floats(min_value=1e-6, max_value=1e6))
     def test_round_trip(self, linear):
-        back = dbi_to_linear(linear_to_dbi(Gain(linear))).linear
+        back = dbi_to_linear(10.0 * math.log10(linear)).linear
         assert back == pytest.approx(linear, rel=1e-12)
 
 

@@ -15,7 +15,6 @@ from wpsn_coverage.scenario import (
     load_scenario,
     parse_magnitude,
     parse_scenario,
-    serialize_scenario,
 )
 
 
@@ -158,22 +157,6 @@ def test_overflowing_dbm_value_names_the_file(tmp_path):
     path.write_text("p_t_w = 4000 dBm\n")
     with pytest.raises(UnitError, match=f"^{re.escape(str(path))}: p_t_w: "):
         load_scenario(path)
-
-
-class TestRoundTrip:
-    @pytest.mark.parametrize(
-        "doc",
-        [
-            DESIGN_DOC,
-            "eirp_product_w = 4\nf_hz = 2GHz\n",
-            "strategy = hex_grid\nr_rf_m = 13.49\nnode_count = 500\nnode_seed = 7\n",
-            "strategy = explicit\nsources = 1.5,2.5; 3,4\n",
-        ],
-    )
-    def test_parse_serialize_parse(self, doc):
-        first = parse_scenario(doc)
-        second = parse_scenario(serialize_scenario(first))
-        assert first == second
 
 
 class TestOverrides:

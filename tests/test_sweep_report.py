@@ -1,4 +1,3 @@
-import io
 import math
 import random
 import tracemalloc
@@ -217,11 +216,6 @@ class TestCsv:
         assert "\r" not in text
         assert all(line == line.rstrip() for line in text.splitlines())
         assert text.endswith("\n")
-
-    def test_write_to_stream(self, table):
-        buf = io.StringIO()
-        write_csv(table, buf)
-        assert buf.getvalue() == render_csv(table)
 
     def test_write_failure_raises_oserror(self, table, tmp_path):
         with pytest.raises(OSError):
