@@ -143,7 +143,7 @@ def _cmd_deploy(args, scenario: Scenario) -> int:
         metadata=meta,
     )
     write_csv(placement, args.out / "placement.csv")
-    fed = np.diff(report.indptr) > 0
+    fed = report.indptr[1:] != report.indptr[:-1]
     first_source = np.full(len(fed), -1, dtype=np.int64)
     first_source[fed] = report.indices[report.indptr[:-1][fed]]
     coverage = SweepTable(

@@ -88,7 +88,14 @@ def source_count_from_range(
     """Disc count area / (pi r^2) for a given per-source range."""
     a = _area_m2(area)
     r = Length.of(r_rf)
-    return SourceCount(a / (math.pi * r * r))
+    den = math.pi * r * r
+    out = a / den if den else math.inf  # den underflowed
+    if not 0.0 < out < math.inf:
+        raise ValidationError(
+            f"source count is {out!r}, outside (0, inf): area / (pi r^2) at area {a!r} m^2,"
+            f" r {r!r} m"
+        )
+    return SourceCount(out)
 
 
 def _closed_form(what: str, area, radio: RadioParams, x: float, y: float, xy: str) -> float:

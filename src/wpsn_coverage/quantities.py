@@ -129,4 +129,7 @@ def dbi_to_linear(gain_dbi: float) -> Gain:
 
 def wavelength(freq: Frequency | float) -> Length:
     """Free-space wavelength c/f, with c = 3e8 m/s exactly."""
-    return Length(SPEED_OF_LIGHT / Frequency.of(freq))
+    f = Frequency.of(freq)
+    if (lam := SPEED_OF_LIGHT / f) == math.inf:
+        raise ValidationError(f"wavelength c/f overflows a float at frequency [Hz] {f!r}")
+    return Length(lam)

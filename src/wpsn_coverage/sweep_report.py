@@ -3,7 +3,9 @@
 A `SweepTable` holds named columns, one sequence of cells per column and
 a metadata dict; cells and metadata values are numbers or text.
 Serialization is byte-stable: identical inputs always produce identical
-files.
+files. Every cell is written as `_format_number` writes it: a table whose
+every column is a numeric numpy array through the byte matrices of
+`byte_columns`, one block of rows at a time, any other table cell by cell.
 """
 
 from __future__ import annotations
@@ -43,44 +45,37 @@ def _format_number(value) -> str:
     return repr(f)
 
 
-def _column_text(values) -> list[str]:
-    """Each cell as `_format_number` writes it; numeric arrays are formatted whole."""
-    kind = values.dtype.kind if hasattr(values, "dtype") else None
-    if kind not in ("b", "i", "f"):
-        return [_format_number(v) for v in values]
-    import numpy as np  # an array was passed in, so numpy is already loaded
-
-    if kind in ("b", "i"):
-        return list(map(str, values.astype(np.int64, copy=False).tolist()))
-    text = list(map(float.__repr__, values.tolist()))
-    integral = np.flatnonzero((values == np.trunc(values)) & (np.abs(values) < 1e16))
-    for i, f in zip(integral.tolist(), values[integral].tolist()):
-        text[i] = str(int(f))
-    return text
+def _text_rows(columns) -> bytes:
+    """CSV lines of equal-length columns, one `_format_number` call per cell."""
+    texts = [[_format_number(v) for v in column] for column in columns]
+    return ("\n".join(map(",".join, zip(*texts))) + "\n").encode()
 
 
 def _csv_blocks(table: SweepTable):
-    """Metadata lines and header, then the rows `_BLOCK` at a time."""
+    """Metadata lines and header, then the rows `_BLOCK` at a time, as UTF-8 bytes."""
     meta = "".join(f"# {k} = {_format_number(v)}\n" for k, v in sorted(table.metadata.items()))
-    yield meta + ",".join(table.columns) + "\n"
+    yield (meta + ",".join(table.columns) + "\n").encode()
+    rows = _text_rows
+    if table.data and all(hasattr(c, "dtype") and c.dtype.kind in "bif" for c in table.data):
+        from .byte_columns import rows_bytes as rows  # numeric arrays: numpy is loaded
+
     for lo in range(0, len(table.data[0]) if table.data else 0, _BLOCK):
-        texts = [_column_text(column[lo : lo + _BLOCK]) for column in table.data]
-        yield "\n".join(map(",".join, zip(*texts))) + "\n"
+        yield rows([column[lo : lo + _BLOCK] for column in table.data])
 
 
 def render_csv(table: SweepTable) -> str:
     """CSV text: '#'-prefixed metadata, header, then rows. LF endings."""
-    return "".join(_csv_blocks(table))
+    return b"".join(_csv_blocks(table)).decode()
 
 
 def write_csv(table: SweepTable, destination) -> None:
     """Write the table to the file at path `destination`, one block of rows at a time."""
-    _write_text(_csv_blocks(table), destination, "CSV")
+    _write_bytes(_csv_blocks(table), destination, "CSV")
 
 
-def _write_text(pieces, destination, what: str) -> None:
+def _write_bytes(pieces, destination, what: str) -> None:
     try:
-        with open(destination, "w", encoding="utf-8", newline="") as fh:
+        with open(destination, "wb") as fh:
             fh.writelines(pieces)
     except OSError as exc:
         raise OSError(f"cannot write {what} to {destination}: {exc}") from exc
@@ -212,4 +207,4 @@ def render_svg(table: SweepTable, options: PlotOptions) -> str:
 
 def write_svg_plot(table: SweepTable, options: PlotOptions, destination) -> None:
     """Write an SVG rendering of the table to the file at path `destination`."""
-    _write_text((render_svg(table, options),), destination, "SVG")
+    _write_bytes((render_svg(table, options).encode(),), destination, "SVG")

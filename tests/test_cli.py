@@ -293,6 +293,9 @@ class TestErrorHandling:
             # the activation range leaves (0, inf)
             ["range", "--p-t-w", "1e308", "--g-t-dbi", "30"],
             ["range", "--v-min-v", "1e200"],
+            # the wavelength c/f overflows
+            ["range", "--f-hz", "1e-301"],
+            ["deploy", "--nodes", "5", "--f-hz", "1e-301"],  # no --r-rf-m: range from radio
         ],
         ids=" ".join,
     )

@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -122,6 +123,19 @@ class TestSourceCountFromRange:
     def test_rejects_non_positive(self):
         with pytest.raises(ValidationError):
             source_count_from_range(-1.0, 10.0)
+
+    @pytest.mark.parametrize(
+        "area, r, text",
+        [
+            (4e4, 1e-200, "inf"),  # r^2 underflows to 0
+            (1e300, 1e-10, "inf"),  # area / (pi r^2) overflows
+            (4e4, 1e200, "0.0"),  # r^2 overflows
+        ],
+    )
+    def test_result_outside_open_range_names_inputs(self, area, r, text):
+        pattern = rf"is {text}, outside \(0, inf\).* r {re.escape(repr(r))} m"
+        with pytest.raises(ValidationError, match=pattern):
+            source_count_from_range(area, r)
 
 
 class TestSourceCount4e4Anchor:

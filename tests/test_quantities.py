@@ -95,6 +95,10 @@ class TestWavelength:
         with pytest.raises(ValidationError):
             wavelength(0.0)
 
+    def test_overflow_names_the_frequency(self):
+        with pytest.raises(ValidationError, match=r"c/f overflows .* 1e-301"):
+            wavelength(1e-301)
+
     @given(st.floats(min_value=1e3, max_value=1e12))
     def test_halving_under_doubled_frequency(self, f):
         assert wavelength(Frequency(2 * f)).meters == wavelength(Frequency(f)).meters / 2

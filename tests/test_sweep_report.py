@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from wpsn_coverage import figures, sweep_report
+from wpsn_coverage import byte_columns, figures, sweep_report
 from wpsn_coverage.coverage import EventField, source_count
 from wpsn_coverage.link_budget import RadioParams, max_range
 from wpsn_coverage.quantities import ValidationError
@@ -229,10 +229,13 @@ class TestCsv:
         assert render_csv(table) == "# m = inf\na\ninf\n-inf\nnan\n"
 
     def test_bool_and_int_columns_print_integers(self):
+        ints = np.array([-1, 2**62, np.iinfo(np.int64).min, np.iinfo(np.int64).max, 0])
         table = SweepTable(
-            columns=("b", "i"), data=(np.array([True, False]), np.array([-1, 2**62]))
+            columns=("b", "i"), data=(np.array([True, False, False, True, False]), ints)
         )
-        assert render_csv(table) == f"b,i\n1,-1\n0,{2**62}\n"
+        assert render_csv(table) == (
+            f"b,i\n1,-1\n0,{2**62}\n0,{-2**63}\n1,{2**63 - 1}\n0,0\n"
+        )
 
     def test_columns_of_unequal_length_rejected(self):
         with pytest.raises(ValidationError):
@@ -314,6 +317,19 @@ def test_write_csv_memory_is_bounded_by_the_block(tmp_path):
         tracemalloc.stop()
     assert peak < 25e6
     assert (tmp_path / "coverage.csv").read_text().count("\n") == 2 + 1 + 200_000
+
+
+def test_written_file_is_the_rendered_text(tmp_path):
+    table = _deploy_shaped(20_000)
+    write_csv(table, tmp_path / "coverage.csv")
+    assert (tmp_path / "coverage.csv").read_bytes() == render_csv(table).encode()
+
+
+def test_bytes_do_not_depend_on_the_fast_path(monkeypatch):
+    table = _deploy_shaped(20_000)
+    expected = render_csv(table)
+    monkeypatch.setattr(byte_columns, "_fast_range", lambda a: np.zeros(a.shape, bool))
+    assert render_csv(table) == expected
 
 
 class TestSvg:
