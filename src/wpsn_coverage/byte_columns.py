@@ -24,6 +24,7 @@ from .sweep_report import _format_number
 _EXPONENT = np.uint64(0x7FF0000000000000)
 _MANTISSA = np.uint64(0x000FFFFFFFFFFFFF)
 _VELTKAMP = 134217729.0  # 2**27 + 1: splits a double into two 26-bit halves
+_MINUS, _ZERO, _POINT = (np.uint8(ord(c)) for c in "-0.")
 
 
 def _split(v):
@@ -91,15 +92,15 @@ def _positional(m, k, negative):
     points = max(0, k_hi + 1)  # one '.' slot after each digit that can precede it
     out = np.empty((signs + lead + 17 + points, len(m)), np.uint8)
     if signs:
-        out[0] = negative * np.uint8(45)
+        out[0] = negative * _MINUS
     if lead:
-        out[signs] = (k < 0) * np.uint8(48)
-        out[signs + 1] = (k < 0) * np.uint8(46)
+        out[signs] = (k < 0) * _ZERO
+        out[signs + 1] = (k < 0) * _POINT
         for c in range(1, lead - 1):
-            out[signs + 1 + c] = (k <= -1 - c) * np.uint8(48)
+            out[signs + 1 + c] = (k <= -1 - c) * _ZERO
     base = signs + lead
     for i in range(points):
-        out[base + 2 * i + 1] = (k == i) * np.uint8(46)
+        out[base + 2 * i + 1] = (k == i) * _POINT
     high = m // 10**9
     i, seen = 16, np.zeros(len(m), bool)
     for q, count in ((m - high * 10**9, 9), (high, 8)):  # 32-bit digit steps are faster
@@ -108,7 +109,7 @@ def _positional(m, k, negative):
             q_next = q // 10
             d = q - q_next * 10
             seen |= d != 0
-            out[base + i + min(i, points)] = (d + 48) * seen
+            out[base + i + min(i, points)] = (d + _ZERO) * seen
             q, i = q_next, i - 1
     return out
 
@@ -124,10 +125,10 @@ def _int_matrix(v):
     signs = int(negative.any())
     out = np.empty((signs + digits, len(v)), np.uint8)
     if signs:
-        out[0] = negative * np.uint8(45)
+        out[0] = negative * _MINUS
     for row in range(signs + digits - 1, signs - 1, -1):
         q_next = u // 10
-        d = u - q_next * 10 + 48
+        d = u - q_next * 10 + _ZERO
         out[row] = d if row == signs + digits - 1 else d * (u != 0)
         u = q_next
     return out
@@ -170,7 +171,7 @@ def column_matrix(values):
 def rows_bytes(columns) -> bytes:
     """CSV lines of equal-length numeric numpy columns, each line ended by '\\n'."""
     n = len(columns[0])
-    comma, newline = np.full((1, n), 44, np.uint8), np.full((1, n), 10, np.uint8)
+    comma, newline = (np.full((1, n), ord(c), np.uint8) for c in ",\n")
     pieces = []
     for values in columns:
         pieces += [column_matrix(values), comma]
