@@ -17,7 +17,7 @@ import numpy as np
 
 from . import kernels
 from .coverage import EventField, Strategy
-from .quantities import ValidationError, _positive
+from .quantities import ValidationError, _integer, _positive
 
 # Most sources place_sources lays on a grid. The count follows the user's
 # radius with no other bound (1e-300 m on the design field asks for ~1e604),
@@ -150,6 +150,7 @@ def place_sources(
 
 def scatter_nodes(field: EventField, n: int, seed: int) -> NodeField:
     """Scatter n uniform node positions; deterministic per (field, n, seed)."""
+    n = _integer(n, "node count")
     if n < 0:
         raise ValidationError(f"node count must be >= 0, got {n}")
     if n > MAX_NODES:
@@ -190,6 +191,8 @@ def monte_carlo_coverage(
     os.cpu_count() threads run, and no more than there are kernel chunks
     of samples.
     """
+    samples = _integer(samples, "sample count")
+    workers = _integer(workers, "worker count")
     if samples < 1:
         raise ValidationError(f"sample count must be >= 1, got {samples}")
     if workers < 1:

@@ -11,6 +11,17 @@ query point tests only the sources in the cells around its own, with the
 same closed-disc test `dx*dx + dy*dy <= r*r` as a test against every
 source: the index only prunes, so every answer is bit-identical to the
 brute-force one.
+
+`covered_count` first tries `CellClasses`, region classification at one
+level (Samet, "The Design and Analysis of Spatial Data Structures",
+1990): a grid of side r/16 to r/8 whose cells are covered (all four
+corners within r(1 - 1e-9) of one source), empty (no source within
+r(1 + 1e-9) of the cell) or boundary. A sample in a covered or empty cell
+is answered by one lookup; only samples in boundary cells reach the cell
+index. The grid is used only where it has at most one cell per two
+samples and at most 2048 cells per axis, decided from the arguments
+before anything is allocated; otherwise every sample goes through the
+cell index as before.
 """
 
 from __future__ import annotations
@@ -19,7 +30,7 @@ import math
 
 import numpy as np
 
-from .quantities import ValidationError
+from .quantities import ValidationError, _integer
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -31,6 +42,8 @@ HAVE_COMPILED = False  # read by the benchmark (bench/child.py), which records i
 
 _CHUNK = 65536  # samples drawn per points_block call
 _CANDIDATES = 1 << 18  # (point, source) tests per block: bounds the temporaries
+_MAX_CELL_AXIS = 2048  # classification cells per axis: at most 2**22 cells in all
+_CELLS_PER_SAMPLE = 0.5  # classify only where the cells are this few per sample
 
 
 def _finalize(z: np.ndarray) -> np.ndarray:
@@ -41,6 +54,7 @@ def _finalize(z: np.ndarray) -> np.ndarray:
 
 def uniform_block(seed: int, start: int, count: int) -> np.ndarray:
     """Uniform [0,1) doubles for counters start .. start+count-1."""
+    seed = _integer(seed, "seed")  # 2.5 would otherwise draw seed 2's stream
     if not 0 <= seed < 1 << 64:  # one stream per seed: no two seeds alias modulo 2**64
         raise ValidationError(f"seed must be in [0, 2**64), got {seed}")
     ctr = np.arange(start, start + count, dtype=np.uint64)
@@ -166,6 +180,98 @@ class CellIndex:
         return np.divmod(np.concatenate(keys), max(self.size, 1))
 
 
+class CellClasses:
+    """A grid of side r / per_radius over the field, each cell classified
+    once as covered, empty or boundary (module docstring). A disc is
+    convex, so a cell whose four corners lie in it lies in it whole. Only
+    points in boundary cells go through the cell index, so every count is
+    the brute-force one.
+
+    Why the margins absorb the rounding: `_cells_per_radius` allows no
+    grid unless r > max(width, height) / 256. Rounding x * per_m to find a
+    point's cell, c * side to place a corner, or the squared distances,
+    moves a point, a corner or a distance by a few units of
+    2**-53 max(width, height), under 1e-12 r. So a point looked up in a
+    covered cell lies within r(1 - 1e-10) of a source, and one in an empty
+    cell farther than r(1 + 1e-10) from every source: there the float test
+    dx*dx + dy*dy <= r*r, off by a few ulps of r*r, cannot disagree.
+    Points must lie in the field.
+    """
+
+    def __init__(self, sources_x, sources_y, radius: float, width: float, height: float,
+                 per_radius: int):
+        self.index = CellIndex(sources_x, sources_y, radius, width, height)
+        self.per_m = per_m = per_radius / radius
+        side = radius / per_radius
+        self.nx = nx = int(width * per_m) + 1
+        ny = int(height * per_m) + 1
+        # cells within r(1 + 1e-9) of a source lie at most per_radius + 1
+        # cells from its own along each axis; stamping into a grid padded
+        # by that reach needs no bounds test
+        reach = per_radius + 1
+        offsets = np.arange(-reach, reach + 1)
+        stride = nx + 2 * reach
+        covered = np.zeros((ny + 2 * reach) * stride, dtype=bool)
+        near = np.zeros_like(covered)
+        r_in, r_out = (radius * (1.0 - 1e-9)) ** 2, (radius * (1.0 + 1e-9)) ** 2
+        x = np.ascontiguousarray(sources_x, dtype=np.float64)
+        y = np.ascontiguousarray(sources_y, dtype=np.float64)
+        block = max(1, _CANDIDATES // offsets.size**2)
+        for lo in range(0, x.size, block):
+            cx, far_x, near_x = self._spans(x[lo : lo + block], offsets, per_m, side)
+            cy, far_y, near_y = self._spans(y[lo : lo + block], offsets, per_m, side)
+            keys = (cy + reach)[:, :, None] * stride + (cx + reach)[:, None, :]
+            covered[keys[far_y[:, :, None] + far_x[:, None, :] <= r_in]] = True
+            near[keys[near_y[:, :, None] + near_x[:, None, :] <= r_out]] = True
+        # 0 empty, 1 boundary, 2 covered (a covered cell is also near)
+        classes = (near.view(np.uint8) + covered).reshape(-1, stride)
+        self.classes = classes[reach:-reach, reach:-reach].ravel()
+
+    @staticmethod
+    def _spans(v, offsets, per_m, side):
+        """Along one axis, for each source coordinate in v: the cells
+        around its own, and the squared largest and smallest distances
+        from it to each cell's span."""
+        cell = (v * per_m).astype(np.int64)[:, None] + offsets
+        lo = cell * side - v[:, None]
+        hi = lo + side
+        near = np.maximum(np.maximum(lo, -hi), 0.0)
+        return cell, np.maximum(lo * lo, hi * hi), near * near
+
+    def count(self, chunks) -> int:
+        """Number of points, over (x, y) chunks, within the radius of at
+        least one source."""
+        inside = 0
+
+        def boundary():
+            nonlocal inside
+            for px, py in chunks:
+                key = (py * self.per_m).astype(np.intp)
+                key *= self.nx
+                key += (px * self.per_m).astype(np.intp)
+                cls = self.classes[key]
+                on = cls == 1
+                inside += np.count_nonzero(cls) - np.count_nonzero(on)
+                yield px[on], py[on]
+
+        edge = self.index.count(boundary())
+        return edge + inside
+
+
+def _cells_per_radius(count: int, width: float, height: float, radius: float) -> int | None:
+    """Cells per radius, 16 down to 8, of the finest classification grid
+    with at most count * _CELLS_PER_SAMPLE cells and _MAX_CELL_AXIS per
+    axis; None, from scalars alone, where no such grid fits."""
+    if not radius * _MAX_CELL_AXIS > 8.0 * max(width, height):
+        return None  # also a zero or NaN radius
+    for per_radius in range(16, 7, -1):
+        nx = int(width * (per_radius / radius)) + 1
+        ny = int(height * (per_radius / radius)) + 1
+        if max(nx, ny) <= _MAX_CELL_AXIS and nx * ny <= count * _CELLS_PER_SAMPLE:
+            return per_radius
+    return None
+
+
 def covered_count(
     seed: int,
     start: int,
@@ -176,8 +282,17 @@ def covered_count(
     sources_y: np.ndarray,
     radius: float,
 ) -> int:
-    """Number of samples in [start, start+count) that fall inside >=1 disc."""
-    index = CellIndex(sources_x, sources_y, radius, width, height)
+    """Number of samples in [start, start+count) that fall inside >=1 disc.
+
+    Decided from the arguments alone, before any allocation: where a fine
+    grid fits the sample count, `CellClasses` answers most samples by
+    cell; otherwise every sample goes through the cell index.
+    """
+    per_radius = _cells_per_radius(count, width, height, radius)
+    if per_radius is None:
+        index = CellIndex(sources_x, sources_y, radius, width, height)
+    else:
+        index = CellClasses(sources_x, sources_y, radius, width, height, per_radius)
     return index.count(
         points_block(seed, lo, min(_CHUNK, start + count - lo), width, height)
         for lo in range(start, start + count, _CHUNK)

@@ -9,6 +9,7 @@ assumes; the CODATA value would shift ranges by ~0.07%.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 SPEED_OF_LIGHT = 3.0e8  # m/s, rounded by design
@@ -26,6 +27,14 @@ def _finite(value, name: str) -> float:
     if not math.isfinite(out):
         raise ValidationError(f"{name} must be finite, got {out!r}")
     return out
+
+
+def _integer(value, name: str) -> int:
+    """An int, or a value that is one exactly (numpy integers): 2.5 and 3.0 are not."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValidationError(f"{name} must be an integer, got {value!r}") from None
 
 
 def _positive(value, name: str) -> float:

@@ -3,6 +3,7 @@ that renames one, or stops calling it through the name the tracer
 replaces, would silently zero that layer's metric."""
 
 import importlib
+import inspect
 import json
 import os
 import subprocess
@@ -20,6 +21,27 @@ def test_every_traced_target_exists(monkeypatch):
     tracer = importlib.import_module("tracer")
     for module, name, _, _ in tracer.TARGETS:
         assert callable(getattr(importlib.import_module(module), name, None)), (module, name)
+
+
+def test_traced_counts_read_the_named_arguments(monkeypatch):
+    # an extractor from tracer._arg(index, name) reads positional argument
+    # `index` unless `name` is passed by keyword: a signature edit that
+    # moves `name` would silently change the traced per-layer counts
+    monkeypatch.syspath_prepend(str(BENCH))
+    tracer = importlib.import_module("tracer")
+    read = {}
+    for module, name, _, extract in tracer.TARGETS:
+        taken = inspect.getclosurevars(extract).nonlocals if extract else {}
+        if "index" in taken:
+            read[f"{module}.{name}"] = (taken["index"], taken["name"])
+            function = getattr(importlib.import_module(module), name)
+            params = list(inspect.signature(function).parameters)
+            assert params[taken["index"]] == taken["name"], (module, name)
+    assert read == {
+        "wpsn_coverage.kernels.covered_count": (2, "count"),
+        "wpsn_coverage.kernels.points_block": (2, "count"),
+        "wpsn_coverage.deployment.monte_carlo_coverage": (1, "samples"),
+    }
 
 
 def test_deploy_writes_through_the_cli_reference(monkeypatch, tmp_path, capsys):

@@ -156,6 +156,17 @@ class TestScatterNodes:
         with pytest.raises(ValidationError):
             scatter_nodes(EventField(10.0, 10.0), -1, seed=0)
 
+    @pytest.mark.parametrize("n", [2.5, 3.0, "3", None])
+    def test_rejects_count_not_an_integer(self, n):
+        # 2.5 reached numpy's concatenate; 3.0 is rejected too
+        with pytest.raises(ValidationError, match="node count must be an integer"):
+            scatter_nodes(EventField(10.0, 10.0), n, seed=0)
+
+    def test_accepts_numpy_integers(self):
+        field = EventField(10.0, 10.0)
+        nodes = scatter_nodes(field, np.int32(5), seed=np.uint64(3))
+        assert np.array_equal(nodes.positions, scatter_nodes(field, 5, seed=3).positions)
+
     def test_rejects_count_over_cap(self, monkeypatch):
         assert deployment.MAX_NODES >= 10**6  # the scaled benchmark's node count
         monkeypatch.setattr(deployment, "MAX_NODES", 10)
@@ -276,6 +287,24 @@ class TestMonteCarloCoverage:
         dep = Deployment(EventField(20.0, 20.0), ((10.0, 10.0),), 5.0, Strategy.EXPLICIT)
         with pytest.raises(ValidationError):
             monte_carlo_coverage(dep, 1000, seed=0, workers=workers)
+
+    @pytest.mark.parametrize("samples, seed, workers, name", [
+        (10_000, 2.5, 1, "seed"),  # aliased seed 2's stream
+        (10_000, 2.9, 2, "seed"),
+        (2.5, 2, 1, "sample count"),  # TypeError in range()
+        (10**6, 2, 1.5, "worker count"),  # TypeError in range()
+        (100.0, 2, 1, "sample count"),
+    ])
+    def test_rejects_counts_and_seeds_not_integers(self, samples, seed, workers, name):
+        dep = Deployment(EventField(20.0, 20.0), ((10.0, 10.0),), 5.0, Strategy.EXPLICIT)
+        with pytest.raises(ValidationError, match=f"{name} must be an integer"):
+            monte_carlo_coverage(dep, samples, seed, workers=workers)
+
+    def test_accepts_numpy_integers(self):
+        dep = Deployment(EventField(20.0, 20.0), ((10.0, 10.0),), 5.0, Strategy.EXPLICIT)
+        assert monte_carlo_coverage(dep, np.int64(1000), np.uint64(2), np.int16(2)) == (
+            monte_carlo_coverage(dep, 1000, 2)
+        )
 
     @pytest.fixture
     def pools(self, monkeypatch):

@@ -21,6 +21,7 @@ from wpsn_coverage.deployment import (
     Strategy,
     coverage_report,
     detect_interference,
+    place_sources,
 )
 from wpsn_coverage.quantities import ValidationError
 
@@ -171,6 +172,15 @@ def test_cell_count_grows_with_sources_not_radius(radius):
     assert index.nx * index.ny <= 8 * 500 + 1
 
 
+def _traced_peak(run) -> int:
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_memory_bounded_by_points_plus_candidates():
     """4,096 points against 2,000 sources: a brute-force nodes x S pass
     allocates ~250 MB of temporaries."""
@@ -183,13 +193,100 @@ def test_memory_bounded_by_points_plus_candidates():
         lambda: kernels.covered_count(9, 0, 4096, 400.0, 400.0, sx, sy, 2.0),
         lambda: coverage_report(dep, nodes),
     ):
-        tracemalloc.start()
-        try:
-            run()
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 32 * 2**20
+        assert _traced_peak(run) < 32 * 2**20
+
+
+def test_classified_memory_bounded_on_many_nodes_geometry():
+    """10^6 samples over 429 hex-grid discs classify ~410,000 cells."""
+    dep = place_sources(EventField(400.0, 400.0), 10.0, Strategy.HEX_GRID)
+    assert len(dep.sources) == 429
+    sx, sy = dep.sources.T
+    assert kernels._cells_per_radius(10**6, 400.0, 400.0, 10.0) == 16
+    assert _traced_peak(
+        lambda: kernels.covered_count(3, 0, 10**6, 400.0, 400.0, sx, sy, 10.0)
+    ) < 32 * 2**20
+
+
+@pytest.mark.parametrize("samples, radius", [(10**6, 1e-3), (4096, 2.0)])
+def test_fallback_allocates_no_cells(monkeypatch, samples, radius):
+    """r = 1e-3 would need ~10^13 cells on a 400 m field, and 4,096
+    samples against r = 2 m (the many_sources geometry) ~2.6 * 10^6: both
+    decide from scalars to skip the classification."""
+    rng = np.random.default_rng(2)
+    sx, sy = rng.uniform(0.0, 400.0, size=(2, 2000))
+    assert kernels._cells_per_radius(samples, 400.0, 400.0, radius) is None
+
+    def refuse(*args):
+        raise AssertionError("classified")
+
+    monkeypatch.setattr(kernels, "CellClasses", refuse)
+    assert _traced_peak(
+        lambda: kernels.covered_count(4, 0, samples, 400.0, 400.0, sx, sy, radius)
+    ) < 32 * 2**20
+
+
+# the classified path --------------------------------------------------------
+
+
+def _per_point(counter, px, py):
+    return [counter.count([(px[i : i + 1], py[i : i + 1])]) for i in range(len(px))]
+
+
+@settings(max_examples=150, deadline=None)
+@given(placements(), st.integers(0, 2**64 - 1))
+def test_classified_count_equals_brute_force(case, seed):
+    """With the cells-per-sample threshold lifted, every placement whose
+    radius allows a grid takes the classified path; the rest fall back."""
+    width, height, radius, sources, nodes = case
+    dep = Deployment(EventField(width, height), sources, radius, Strategy.EXPLICIT)
+    sx, sy = dep.sources.T
+    expected = reference_covered_count(seed, 5, 3000, width, height, sx, sy, radius)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kernels, "_CELLS_PER_SAMPLE", math.inf)
+        assert kernels.covered_count(seed, 5, 3000, width, height, sx, sy, radius) == expected
+        per_radius = kernels._cells_per_radius(3000, width, height, radius)
+    if per_radius is not None and nodes:
+        classes = kernels.CellClasses(sx, sy, radius, width, height, per_radius)
+        px, py = np.array(nodes, dtype=np.float64).T
+        membership = reference_membership(dep.sources.tolist(), nodes, radius)
+        assert _per_point(classes, px, py) == [int(bool(feeds)) for feeds in membership]
+
+
+@pytest.mark.parametrize("radius", [5.0, 47.8])
+@pytest.mark.parametrize("per_radius", [16, 11, 8])
+def test_classified_count_on_cell_corners_and_circles(radius, per_radius):
+    """Sources on fine-cell corners; points on every cell corner and edge
+    midpoint around them, and at r and r(1 +- 1e-9) from each source in
+    eight directions. Each point's count equals the brute-force test,
+    whatever class its cell has."""
+    side = radius / per_radius
+    width, height = 6 * radius, 4 * radius
+    corners = [(per_radius, per_radius), (3 * per_radius + 5, 2 * per_radius + 3),
+               (4 * per_radius, per_radius + 1), (0, 0)]
+    sources = [(i * side, j * side) for i, j in corners]
+    steps = np.arange(-per_radius - 2, per_radius + 3)
+    points = []
+    for i, j in corners[:2]:
+        for a in steps:
+            for b in steps:
+                points.append(((i + a) * side, (j + b) * side))  # corner
+                points.append(((i + a + 0.5) * side, (j + b) * side))  # edge midpoints
+                points.append(((i + a) * side, (j + b + 0.5) * side))
+    directions = [(1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0), (0.6, 0.8),
+                  (-0.8, 0.6), (math.sqrt(0.5), math.sqrt(0.5)), (-0.28, -0.96)]
+    for x, y in sources:
+        for scale in (1.0 - 1e-9, 1.0, 1.0 + 1e-9):
+            points += [(x + radius * scale * u, y + radius * scale * v) for u, v in directions]
+    points = [(x, y) for x, y in points if 0.0 <= x <= width and 0.0 <= y <= height]
+    px, py = np.array(points).T
+    sx, sy = np.array(sources).T
+
+    counter = kernels.CellClasses(sx, sy, radius, width, height, per_radius)
+    expected = [int(bool(feeds)) for feeds in reference_membership(sources, points, radius)]
+    assert _per_point(counter, px, py) == expected
+    assert counter.count([(px[:100], py[:100]), (px[100:], py[100:])]) == sum(expected)
+    key = (py * counter.per_m).astype(np.intp) * counter.nx + (px * counter.per_m).astype(np.intp)
+    assert set(counter.classes[key].tolist()) == {0, 1, 2}  # empty, boundary, covered
 
 
 class TestCounterGenerator:
@@ -226,6 +323,13 @@ class TestCounterGenerator:
         assert impl.uniform_block(2**64 - 1, 0, 4).shape == (4,)
         with pytest.raises(ValidationError, match="seed"):
             impl.uniform_block(seed, 0, 4)
+
+    @pytest.mark.parametrize("seed", [2.5, 2.9, 2.0, "2", None])
+    def test_seed_not_an_integer_rejected(self, impl, seed):
+        # int(2.5) would draw seed 2's stream
+        with pytest.raises(ValidationError, match="seed must be an integer"):
+            impl.uniform_block(seed, 0, 4)
+        assert np.array_equal(impl.uniform_block(np.uint64(2), 0, 4), impl.uniform_block(2, 0, 4))
 
     def test_seeds_decorrelate(self, impl):
         a = impl.uniform_block(1, 0, 1000)
