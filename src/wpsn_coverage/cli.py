@@ -143,12 +143,10 @@ def _cmd_deploy(args, scenario: Scenario) -> int:
         metadata=meta,
     )
     write_csv(placement, args.out / "placement.csv")
-    fed = report.indptr[1:] != report.indptr[:-1]
-    first_source = np.full(len(fed), -1, dtype=np.int64)
-    first_source[fed] = report.indices[report.indptr[:-1][fed]]
+    covered = (report.fed_by != 0).astype(np.int64)
     coverage = SweepTable(
         columns=("node", "x_m", "y_m", "covered", "first_source"),
-        data=(np.arange(len(fed)), *nodes.positions.T, fed.astype(np.int64), first_source),
+        data=(np.arange(report.total_count), *nodes.positions.T, covered, report.first_source),
         metadata={**meta, "covered_count": report.covered_count, "total_count": report.total_count},
     )
     write_csv(coverage, args.out / "coverage.csv")

@@ -73,19 +73,19 @@ class NodeField:
 
 @dataclass(frozen=True, eq=False)
 class CoverageReport:
-    """CSR membership: node i lies in sources indices[indptr[i]:indptr[i + 1]], in index order."""
+    """Per node i: first_source[i], the lowest index of a source whose
+    closed disc holds it (-1 if none), and fed_by[i], how many discs hold it."""
 
-    indptr: np.ndarray  # (N + 1,) int64
-    indices: np.ndarray  # source indices
+    first_source: np.ndarray  # (N,) int64
+    fed_by: np.ndarray  # (N,) int64
 
     @property
     def total_count(self) -> int:
-        return len(self.indptr) - 1
+        return len(self.fed_by)
 
     @property
     def covered_count(self) -> int:
-        # a boolean temporary, not np.diff's int64 one: N can be 10^7
-        return int(np.count_nonzero(self.indptr[1:] != self.indptr[:-1]))
+        return int(np.count_nonzero(self.fed_by))
 
     @property
     def coverage_fraction(self) -> float:
@@ -159,24 +159,24 @@ def scatter_nodes(field: EventField, n: int, seed: int) -> NodeField:
     return NodeField(field=field, positions=np.column_stack((xs, ys)), seed=seed)
 
 
-def _index(dep: Deployment, radius: float) -> kernels.CellIndex:
-    sx, sy = dep.sources.T
-    return kernels.CellIndex(sx, sy, radius, dep.field.width, dep.field.height)
-
-
 def _membership(dep: Deployment, nodes: NodeField) -> tuple[np.ndarray, np.ndarray]:
-    """CSR (indptr, indices) of the closed source discs each node lies in."""
+    """(first_source, fed_by) of each node: the lowest index of a closed
+    source disc it lies in (-1 if none), and how many it lies in."""
+    px, py = nodes.positions.T
+    sx, sy = dep.sources.T
+    w, h = dep.field.width, dep.field.height
+    return kernels.disc_index(len(px), w, h, sx, sy, dep.r_rf).membership(px, py)
+
+
+def _check_fields(dep: Deployment, nodes: NodeField) -> None:
     if nodes.field != dep.field:
         raise ValidationError("node field does not match deployment field")
-    px, py = nodes.positions.T
-    rows, cols = _index(dep, dep.r_rf).hits(px, py)
-    counts = np.bincount(rows, minlength=len(nodes.positions))
-    return np.concatenate(([0], np.cumsum(counts))), cols
 
 
 def coverage_report(dep: Deployment, nodes: NodeField) -> CoverageReport:
     """Exact membership coverage: a node is covered iff its distance to
     some source is <= r_rf (closed disc)."""
+    _check_fields(dep, nodes)
     return CoverageReport(*_membership(dep, nodes))
 
 
@@ -201,9 +201,11 @@ def monte_carlo_coverage(
     w, h = dep.field.width, dep.field.height
     workers = min(workers, os.cpu_count() or 1, -(-samples // kernels._CHUNK))
     block = -(-samples // workers)
+    index = kernels.disc_index(samples, w, h, sx, sy, dep.r_rf)  # one map for every span
 
     def span(lo: int) -> int:
-        return kernels.covered_count(seed, lo, min(block, samples - lo), w, h, sx, sy, dep.r_rf)
+        count = min(block, samples - lo)
+        return kernels.covered_count(seed, lo, count, w, h, sx, sy, dep.r_rf, index=index)
 
     starts = range(0, samples, block)
     if workers == 1:
@@ -214,6 +216,7 @@ def monte_carlo_coverage(
 
 def detect_interference(dep: Deployment, nodes: NodeField) -> InterferenceReport:
     """Overlapping-range source pairs and nodes inside >=2 discs."""
+    _check_fields(dep, nodes)
     pairs: list[tuple[int, int, float]] = []
     # relative slack keeps exactly-touching grid discs (spacing 2r up to
     # fp rounding) out of the overlap list
@@ -221,7 +224,8 @@ def detect_interference(dep: Deployment, nodes: NodeField) -> InterferenceReport
     # the index only prunes, with a slightly wider bound: the decision and
     # the reported distance come from math.hypot, which np.hypot is not
     sx, sy = dep.sources.T
-    rows, cols = _index(dep, threshold * (1.0 + 1e-9)).hits(sx, sy)
+    w, h = dep.field.width, dep.field.height
+    rows, cols = kernels.CellIndex(sx, sy, threshold * (1.0 + 1e-9), w, h).hits(sx, sy)
     sources = dep.sources.tolist()
     for i, j in zip(rows.tolist(), cols.tolist()):
         if i < j:
@@ -229,6 +233,6 @@ def detect_interference(dep: Deployment, nodes: NodeField) -> InterferenceReport
             d = math.hypot(xi - xj, yi - yj)
             if d < threshold:
                 pairs.append((i, j, d))
-    indptr, _ = _membership(dep, nodes)
-    multi = np.flatnonzero(np.diff(indptr) >= 2)
+    _, fed_by = _membership(dep, nodes)
+    multi = np.flatnonzero(fed_by >= 2)
     return InterferenceReport(source_pairs=tuple(pairs), multi_fed_nodes=tuple(multi.tolist()))

@@ -12,16 +12,21 @@ same closed-disc test `dx*dx + dy*dy <= r*r` as a test against every
 source: the index only prunes, so every answer is bit-identical to the
 brute-force one.
 
-`covered_count` first tries `CellClasses`, region classification at one
+`disc_index` first tries `CellClasses`, region classification at one
 level (Samet, "The Design and Analysis of Spatial Data Structures",
-1990): a grid of side r/16 to r/8 whose cells are covered (all four
-corners within r(1 - 1e-9) of one source), empty (no source within
-r(1 + 1e-9) of the cell) or boundary. A sample in a covered or empty cell
-is answered by one lookup; only samples in boundary cells reach the cell
-index. The grid is used only where it has at most one cell per two
-samples and at most 2048 cells per axis, decided from the arguments
-before anything is allocated; otherwise every sample goes through the
-cell index as before.
+1990): a grid of side r/16 to r/8 whose cells hold a code and a source
+index. A cell is empty (no source within r(1 + 1e-9) of it), near one
+source, covered by its one near source (all four corners within
+r(1 - 1e-9) of it), or near two or more. A point in an empty or covered
+cell is answered by one lookup, and one in a one-source cell by one
+closed-disc test against that source; the same margins make the lookup
+and that single test agree with a test against every source. Only points
+in cells near two or more sources reach the cell index. The same map
+answers Monte Carlo counts (`covered_count`) and per-node membership
+(lowest covering source and number of covering discs). The grid is used
+only where it has at most one cell per two points and at most 2048 cells
+per axis, decided from the arguments before anything is allocated;
+otherwise every point goes through the cell index.
 """
 
 from __future__ import annotations
@@ -43,13 +48,7 @@ HAVE_COMPILED = False  # read by the benchmark (bench/child.py), which records i
 _CHUNK = 65536  # samples drawn per points_block call
 _CANDIDATES = 1 << 18  # (point, source) tests per block: bounds the temporaries
 _MAX_CELL_AXIS = 2048  # classification cells per axis: at most 2**22 cells in all
-_CELLS_PER_SAMPLE = 0.5  # classify only where the cells are this few per sample
-
-
-def _finalize(z: np.ndarray) -> np.ndarray:
-    z = (z ^ (z >> np.uint64(30))) * _MIX1
-    z = (z ^ (z >> np.uint64(27))) * _MIX2
-    return z ^ (z >> np.uint64(31))
+_CELLS_PER_SAMPLE = 0.5  # map cells only where they are this few per point (sample or node)
 
 
 def uniform_block(seed: int, start: int, count: int) -> np.ndarray:
@@ -57,9 +56,22 @@ def uniform_block(seed: int, start: int, count: int) -> np.ndarray:
     seed = _integer(seed, "seed")  # 2.5 would otherwise draw seed 2's stream
     if not 0 <= seed < 1 << 64:  # one stream per seed: no two seeds alias modulo 2**64
         raise ValidationError(f"seed must be in [0, 2**64), got {seed}")
-    ctr = np.arange(start, start + count, dtype=np.uint64)
-    z = _finalize(np.uint64(seed) + (ctr + np.uint64(1)) * _GOLDEN)
-    return (z >> np.uint64(11)).astype(np.float64) * _INV_2_53
+    # seed + (counter + 1) * golden, then the splitmix64 finalizer, all in
+    # one buffer: every step wraps modulo 2**64 as the formula does
+    z = np.arange(start, start + count, dtype=np.uint64)
+    z += np.uint64(1)
+    z *= _GOLDEN
+    z += np.uint64(seed)
+    shifted = np.empty_like(z)
+    for shift, mix in ((30, _MIX1), (27, _MIX2), (31, None)):
+        np.right_shift(z, np.uint64(shift), out=shifted)
+        z ^= shifted
+        if mix is not None:
+            z *= mix
+    z >>= np.uint64(11)
+    u = z.astype(np.float64)
+    u *= _INV_2_53
+    return u
 
 
 def points_block(
@@ -120,6 +132,7 @@ class CellIndex:
         if self.pruned:  # sorted centres, then a far sentinel for padded slots
             self.x = np.append(x[self.order], np.inf)
             self.y = np.append(y[self.order], np.inf)
+            self.order = np.append(self.order, n)  # above every index: no padded slot is a first
         else:
             self.x, self.y = x, y
 
@@ -169,6 +182,28 @@ class CellIndex:
             return 0
         return sum(int(ok.any(axis=1).sum()) for _, ok, _ in self._blocks(chunks))
 
+    def membership(self, px: np.ndarray, py: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per point: the lowest index of a source within the radius (-1
+        if none) and the number of such sources. Memory is bounded by the
+        points and one block, whatever the discs over each point.
+
+        Candidates come in cell order, and the three rows of cells are not
+        sorted against each other, so the lowest index is the minimum over
+        the hits, not the first hit."""
+        first = np.full(len(px), -1, dtype=np.int64)
+        fed = np.zeros(len(px), dtype=np.int64)
+        if self.size == 0:
+            return first, fed
+        for lo, ok, pos in self._blocks([(px, py)]):
+            rows = slice(lo, lo + len(ok))
+            fed[rows] = np.count_nonzero(ok, axis=1)
+            if pos is None:  # candidates in index order: the first hit is the lowest
+                low = ok.argmax(axis=1)
+            else:
+                low = np.where(ok, self.order[pos], self.size).min(axis=1)
+            first[rows] = np.where(fed[rows] > 0, low, -1)
+        return first, fed
+
     def hits(self, px: np.ndarray, py: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(point, source) index pairs within the radius, sorted by point
         and then by source."""
@@ -180,27 +215,42 @@ class CellIndex:
         return np.divmod(np.concatenate(keys), max(self.size, 1))
 
 
+# Codes of a CellClasses cell. Bit 0: some source is near the cell; bit 1:
+# some source covers it; bit 2: two or more sources are near it.
+EMPTY, ONE, COVERED, MANY, MANY_COVERED = 0, 1, 3, 5, 7
+
+
 class CellClasses:
-    """A grid of side r / per_radius over the field, each cell classified
-    once as covered, empty or boundary (module docstring). A disc is
-    convex, so a cell whose four corners lie in it lies in it whole. Only
-    points in boundary cells go through the cell index, so every count is
-    the brute-force one.
+    """A grid of side r / per_radius over the field: each cell holds a
+    code (empty, one near source, covered by its one near source, two or
+    more near sources, with or without one covering the cell) and the
+    index of its one near source. "Near" is within r(1 + 1e-9) of some
+    point of the cell, "covered" is all four corners within r(1 - 1e-9);
+    a disc is convex, so a cell whose four corners lie in it lies in it
+    whole. A point in an empty cell lies in no disc and one in a covered
+    cell in its source's disc alone. A point in a one-source cell takes
+    the closed-disc test against that source alone, the same expression
+    as `CellIndex`. Only points in cells near two or more sources go
+    through the cell index, and for a count only those whose cell no
+    source covers. So every answer is the brute-force one.
 
     Why the margins absorb the rounding: `_cells_per_radius` allows no
     grid unless r > max(width, height) / 256. Rounding x * per_m to find a
     point's cell, c * side to place a corner, or the squared distances,
     moves a point, a corner or a distance by a few units of
     2**-53 max(width, height), under 1e-12 r. So a point looked up in a
-    covered cell lies within r(1 - 1e-10) of a source, and one in an empty
-    cell farther than r(1 + 1e-10) from every source: there the float test
-    dx*dx + dy*dy <= r*r, off by a few ulps of r*r, cannot disagree.
-    Points must lie in the field.
+    covered cell lies within r(1 - 1e-10) of its source, and one in an
+    empty or one-source cell farther than r(1 + 1e-10) from every other
+    source: there the float test dx*dx + dy*dy <= r*r, off by a few ulps
+    of r*r, cannot disagree with the lookup. Points must lie in the field.
     """
 
     def __init__(self, sources_x, sources_y, radius: float, width: float, height: float,
                  per_radius: int):
         self.index = CellIndex(sources_x, sources_y, radius, width, height)
+        self.x = x = np.ascontiguousarray(sources_x, dtype=np.float64)
+        self.y = y = np.ascontiguousarray(sources_y, dtype=np.float64)
+        self.r_sq = self.index.r_sq
         self.per_m = per_m = per_radius / radius
         side = radius / per_radius
         self.nx = nx = int(width * per_m) + 1
@@ -211,21 +261,31 @@ class CellClasses:
         reach = per_radius + 1
         offsets = np.arange(-reach, reach + 1)
         stride = nx + 2 * reach
-        covered = np.zeros((ny + 2 * reach) * stride, dtype=bool)
-        near = np.zeros_like(covered)
+        index_type = np.int32 if x.size < 2**31 else np.int64
+        sole = np.full((ny + 2 * reach) * stride, -1, dtype=index_type)
+        covered = np.zeros(sole.size, dtype=bool)
+        many = np.zeros_like(covered)
         r_in, r_out = (radius * (1.0 - 1e-9)) ** 2, (radius * (1.0 + 1e-9)) ** 2
-        x = np.ascontiguousarray(sources_x, dtype=np.float64)
-        y = np.ascontiguousarray(sources_y, dtype=np.float64)
         block = max(1, _CANDIDATES // offsets.size**2)
         for lo in range(0, x.size, block):
             cx, far_x, near_x = self._spans(x[lo : lo + block], offsets, per_m, side)
             cy, far_y, near_y = self._spans(y[lo : lo + block], offsets, per_m, side)
             keys = (cy + reach)[:, :, None] * stride + (cx + reach)[:, None, :]
             covered[keys[far_y[:, :, None] + far_x[:, None, :] <= r_in]] = True
-            near[keys[near_y[:, :, None] + near_x[:, None, :] <= r_out]] = True
-        # 0 empty, 1 boundary, 2 covered (a covered cell is also near)
-        classes = (near.view(np.uint8) + covered).reshape(-1, stride)
-        self.classes = classes[reach:-reach, reach:-reach].ravel()
+            near = near_y[:, :, None] + near_x[:, None, :] <= r_out
+            src = np.nonzero(near)[0] + lo
+            keys = keys[near]
+            # a cell is near two sources if an earlier block stamped it, or
+            # if another source of this block wrote it last
+            many[keys[sole[keys] >= 0]] = True
+            sole[keys] = src
+            many[keys[sole[keys] != src]] = True
+        # every covered cell is near its coverer, so it has a sole source
+        code = (sole >= 0).view(np.uint8)
+        code |= covered.view(np.uint8) << 1
+        code |= many.view(np.uint8) << 2
+        self.classes = code.reshape(-1, stride)[reach:-reach, reach:-reach].ravel()
+        self.sole = sole.reshape(-1, stride)[reach:-reach, reach:-reach].ravel()
 
     @staticmethod
     def _spans(v, offsets, per_m, side):
@@ -238,24 +298,49 @@ class CellClasses:
         near = np.maximum(np.maximum(lo, -hi), 0.0)
         return cell, np.maximum(lo * lo, hi * hi), near * near
 
+    def _lookup(self, px, py):
+        """Per point: its cell's code, and for points in one-source cells
+        their indices into px and whether their sole source's disc holds
+        them."""
+        key = (py * self.per_m).astype(np.intp)
+        key *= self.nx
+        key += (px * self.per_m).astype(np.intp)
+        code = self.classes[key]
+        one = np.flatnonzero(code == ONE)
+        src = self.sole[key[one]]
+        d2 = px[one] - self.x[src]  # as in CellIndex: bit-identical answers
+        d2 *= d2
+        dy = py[one] - self.y[src]
+        dy *= dy
+        d2 += dy
+        return key, code, one, d2 <= self.r_sq
+
     def count(self, chunks) -> int:
         """Number of points, over (x, y) chunks, within the radius of at
         least one source."""
         inside = 0
 
-        def boundary():
+        def many():
             nonlocal inside
             for px, py in chunks:
-                key = (py * self.per_m).astype(np.intp)
-                key *= self.nx
-                key += (px * self.per_m).astype(np.intp)
-                cls = self.classes[key]
-                on = cls == 1
-                inside += np.count_nonzero(cls) - np.count_nonzero(on)
+                _, code, _, hit = self._lookup(px, py)
+                counts = np.bincount(code, minlength=8)
+                inside += int(counts[COVERED] + counts[MANY_COVERED]) + int(np.count_nonzero(hit))
+                on = code == MANY
                 yield px[on], py[on]
 
-        edge = self.index.count(boundary())
-        return edge + inside
+        return self.index.count(many()) + inside
+
+    def membership(self, px: np.ndarray, py: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per point: the lowest index of a source within the radius (-1
+        if none) and the number of such sources."""
+        key, code, one, hit = self._lookup(px, py)
+        first = self.sole[key].astype(np.int64)  # -1 in empty cells
+        first[one[~hit]] = -1
+        fed = (first >= 0).astype(np.int64)
+        many = np.flatnonzero(code >= MANY)
+        first[many], fed[many] = self.index.membership(px[many], py[many])
+        return first, fed
 
 
 def _cells_per_radius(count: int, width: float, height: float, radius: float) -> int | None:
@@ -272,6 +357,18 @@ def _cells_per_radius(count: int, width: float, height: float, radius: float) ->
     return None
 
 
+def disc_index(count: int, width: float, height: float, sources_x, sources_y,
+               radius: float) -> CellIndex | CellClasses:
+    """The structure that answers disc queries for `count` points: a
+    `CellClasses` where a fine grid fits that many, decided from scalars
+    before anything is allocated, otherwise a `CellIndex`. Both give
+    `count(chunks)` and `membership(px, py)`."""
+    per_radius = _cells_per_radius(count, width, height, radius)
+    if per_radius is None:
+        return CellIndex(sources_x, sources_y, radius, width, height)
+    return CellClasses(sources_x, sources_y, radius, width, height, per_radius)
+
+
 def covered_count(
     seed: int,
     start: int,
@@ -281,18 +378,17 @@ def covered_count(
     sources_x: np.ndarray,
     sources_y: np.ndarray,
     radius: float,
+    *,
+    index: CellIndex | CellClasses | None = None,
 ) -> int:
     """Number of samples in [start, start+count) that fall inside >=1 disc.
 
-    Decided from the arguments alone, before any allocation: where a fine
-    grid fits the sample count, `CellClasses` answers most samples by
-    cell; otherwise every sample goes through the cell index.
+    `index` is a `disc_index` of these sources and radius, built once by a
+    caller that splits one call's samples into spans; without it, one is
+    built for this call's count.
     """
-    per_radius = _cells_per_radius(count, width, height, radius)
-    if per_radius is None:
-        index = CellIndex(sources_x, sources_y, radius, width, height)
-    else:
-        index = CellClasses(sources_x, sources_y, radius, width, height, per_radius)
+    if index is None:
+        index = disc_index(count, width, height, sources_x, sources_y, radius)
     return index.count(
         points_block(seed, lo, min(_CHUNK, start + count - lo), width, height)
         for lo in range(start, start + count, _CHUNK)

@@ -204,10 +204,10 @@ class TestCoverageReport:
         dep = Deployment(field, ((10.0, 5.0), (14.0, 5.0)), 5.0, Strategy.EXPLICIT)
         nodes = _nodes_at(field, [(12.0, 5.0)])
         report = coverage_report(dep, nodes)
-        assert report.indptr.tolist() == [0, 2]
-        assert report.indices.tolist() == [0, 1]
+        assert report.first_source.tolist() == [0]
+        assert report.fed_by.tolist() == [2]
 
-    def test_csr_matches_per_node_loop(self):
+    def test_membership_matches_per_node_loop(self):
         field = EventField(60.0, 40.0)
         sources = ((10.0, 10.0), (18.5, 12.25), (30.0, 20.0), (35.0, 24.0), (50.0, 35.0))
         r = 9.0
@@ -219,11 +219,8 @@ class TestCoverageReport:
              if (x - sx) * (x - sx) + (y - sy) * (y - sy) <= r * r]
             for x, y in nodes.positions.tolist()
         ]
-        got = [
-            report.indices[lo:hi].tolist()
-            for lo, hi in zip(report.indptr[:-1], report.indptr[1:])
-        ]
-        assert got == expected
+        assert report.first_source.tolist() == [feeds[0] if feeds else -1 for feeds in expected]
+        assert report.fed_by.tolist() == [len(feeds) for feeds in expected]
         assert report.covered_count == sum(1 for feeds in expected if feeds)
         assert detect_interference(dep, nodes).multi_fed_nodes == tuple(
             i for i, feeds in enumerate(expected) if len(feeds) >= 2
@@ -233,8 +230,8 @@ class TestCoverageReport:
         field = EventField(20.0, 20.0)
         dep = Deployment(field, ((10.0, 10.0),), 5.0, Strategy.EXPLICIT)
         report = coverage_report(dep, scatter_nodes(field, 0, seed=0))
-        assert report.indptr.tolist() == [0]
-        assert report.indices.tolist() == []
+        assert report.first_source.tolist() == []
+        assert report.fed_by.tolist() == []
         assert (report.total_count, report.covered_count) == (0, 0)
         assert report.coverage_fraction == 0.0
 
@@ -250,6 +247,40 @@ class TestCoverageReport:
         nodes = _nodes_at(EventField(20.0, 30.0), [(10.0, 10.0)])
         with pytest.raises(ValidationError, match="node field does not match"):
             query(dep, nodes)
+
+    @pytest.mark.parametrize("query", [coverage_report, detect_interference])
+    def test_field_mismatch_rejected_before_any_index(self, monkeypatch, query):
+        # the source-pair search and membership both build cell indexes
+        def refuse(*args):
+            raise AssertionError("indexed before the field check")
+
+        monkeypatch.setattr(deployment.kernels, "CellIndex", refuse)
+        monkeypatch.setattr(deployment.kernels, "CellClasses", refuse)
+        dep = Deployment(EventField(20.0, 20.0), ((10.0, 10.0),), 5.0, Strategy.EXPLICIT)
+        nodes = _nodes_at(EventField(20.0, 30.0), [(10.0, 10.0)])
+        with pytest.raises(ValidationError, match="node field does not match"):
+            query(dep, nodes)
+
+    def test_coincident_discs_over_many_nodes_fit_in_1_gib(self):
+        # 10^6 nodes under 160 coincident discs are 1.6 * 10^8 (node, disc)
+        # pairs: held as sparse rows they need ~1.3 GB, past the child's
+        # 1 GiB address-space limit
+        script = (
+            "from wpsn_coverage.coverage import EventField\n"
+            "from wpsn_coverage.deployment import Deployment, coverage_report, scatter_nodes\n"
+            "field = EventField(100.0, 100.0)\n"
+            "dep = Deployment(field, [(50.0, 50.0)] * 160, 100.0, 'explicit')\n"
+            "report = coverage_report(dep, scatter_nodes(field, 10**6, seed=1))\n"
+            "print(report.covered_count, report.fed_by.min(), report.first_source.max())\n"
+        )
+        path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1"}
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True, env=env, timeout=120, preexec_fn=_limit_memory,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "1000000 160 0\n"
 
 
 class TestMonteCarloCoverage:
@@ -342,6 +373,30 @@ class TestMonteCarloCoverage:
         sequential = monte_carlo_coverage(dep, samples, seed=5, workers=1)
         assert monte_carlo_coverage(dep, samples, seed=5, workers=8) == sequential
         assert pools == [3]
+
+    def test_one_map_shared_by_every_span(self, monkeypatch):
+        # 8 threads share one read-only map while the interpreter switches
+        # threads every microsecond: the count must stay the sequential one
+        built = []
+        real = deployment.kernels.disc_index
+
+        def counting(count, *args):
+            built.append(count)
+            return real(count, *args)
+
+        monkeypatch.setattr(deployment.kernels, "disc_index", counting)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        dep = place_sources(EventField(100.0, 100.0), 10.0, Strategy.HEX_GRID)
+        samples = 8 * deployment.kernels._CHUNK
+        sequential = monte_carlo_coverage(dep, samples, seed=5, workers=1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            parallel = monte_carlo_coverage(dep, samples, seed=5, workers=8)
+        finally:
+            sys.setswitchinterval(interval)
+        assert parallel == sequential
+        assert built == [samples, samples]  # one map per call, sized by all its samples
 
     def test_agrees_with_membership_on_same_samples(self):
         field = EventField(120.0, 120.0)

@@ -56,6 +56,13 @@ def reference_membership(sources, nodes, radius):
     ]
 
 
+def reference_first_fed(sources, nodes, radius):
+    """Per node, the lowest index of a closed disc it lies in (-1 if
+    none), and the number of discs it lies in."""
+    feeds = reference_membership(sources, nodes, radius)
+    return [f[0] if f else -1 for f in feeds], [len(f) for f in feeds]
+
+
 def reference_pairs(sources, radius):
     """Every source pair (i < j) closer than 2r, by math.hypot."""
     threshold = 2.0 * radius * (1.0 - 1e-12)
@@ -77,7 +84,8 @@ def reference_pairs(sources, radius):
 def placements(draw):
     """(width, height, radius, sources, nodes): sources and nodes mix random
     points with border points, points on multiples of the radius (cell
-    boundaries), coincident points and nodes at exactly r from a source."""
+    boundaries), points on corners of the classification grids, coincident
+    points and nodes at exactly r from a source."""
     width = draw(st.one_of(st.floats(1.0, 200.0), st.floats(1.0, 5.0)))  # narrow: 1-3 columns
     height = draw(st.floats(1.0, 200.0))
     radius = draw(st.one_of(
@@ -87,13 +95,16 @@ def placements(draw):
     ))
 
     def point():
-        kind = draw(st.sampled_from(["random", "border", "cell"]))
+        kind = draw(st.sampled_from(["random", "border", "cell", "corner"]))
         if kind == "random":
             return draw(st.floats(0.0, width)), draw(st.floats(0.0, height))
         if kind == "border":
             return (draw(st.sampled_from([0.0, width, draw(st.floats(0.0, width))])),
                     draw(st.sampled_from([0.0, height, draw(st.floats(0.0, height))])))
-        step = radius * draw(st.sampled_from([1.0, 1.0 + 1e-6, 2.0]))
+        if kind == "cell":
+            step = radius * draw(st.sampled_from([1.0, 1.0 + 1e-6, 2.0]))
+        else:  # a corner of the grid of side r / per_radius
+            step = radius / draw(st.integers(8, 16))
         return (min(width, step * draw(st.integers(0, 40))),
                 min(height, step * draw(st.integers(0, 40))))
 
@@ -127,10 +138,8 @@ def test_disc_queries_equal_brute_force(case, seed):
 
     node_field = NodeField(field, nodes, seed=0)
     report = coverage_report(dep, node_field)
-    expected = reference_membership(dep.sources.tolist(), node_field.positions.tolist(), radius)
-    counts = [len(feeds) for feeds in expected]
-    assert report.indptr.tolist() == np.concatenate(([0], np.cumsum(counts))).tolist()
-    assert report.indices.tolist() == [j for feeds in expected for j in feeds]
+    expected = reference_first_fed(dep.sources.tolist(), node_field.positions.tolist(), radius)
+    assert (report.first_source.tolist(), report.fed_by.tolist()) == expected
 
     assert list(detect_interference(dep, node_field).source_pairs) == (
         reference_pairs(dep.sources.tolist(), radius)
@@ -159,8 +168,8 @@ def test_sources_just_below_cell_boundaries():
     dep = Deployment(field, sources, r, Strategy.EXPLICIT)
     assert kernels.CellIndex(*dep.sources.T, r, 10.0, 10.0).pruned
     report = coverage_report(dep, NodeField(field, nodes, seed=0))
-    expected = reference_membership(dep.sources.tolist(), nodes, r)
-    assert report.indices.tolist() == [j for feeds in expected for j in feeds]
+    expected = reference_first_fed(dep.sources.tolist(), nodes, r)
+    assert (report.first_source.tolist(), report.fed_by.tolist()) == expected
     assert report.covered_count == len(nodes)
 
 
@@ -205,6 +214,19 @@ def test_classified_memory_bounded_on_many_nodes_geometry():
     assert _traced_peak(
         lambda: kernels.covered_count(3, 0, 10**6, 400.0, 400.0, sx, sy, 10.0)
     ) < 32 * 2**20
+
+
+def test_membership_memory_bounded_by_nodes_not_depth():
+    """10^5 nodes under 160 coincident discs: a list of (node, disc)
+    pairs would hold 1.6 * 10^7 entries (a 488 MiB peak as sparse rows)."""
+    field = EventField(100.0, 100.0)
+    dep = Deployment(field, [(50.0, 50.0)] * 160, 100.0, Strategy.EXPLICIT)
+    nodes = NodeField(field, np.random.default_rng(3).uniform(0.0, 100.0, (10**5, 2)), seed=0)
+    assert kernels._cells_per_radius(10**5, 100.0, 100.0, 100.0) is not None
+    reports = []
+    assert _traced_peak(lambda: reports.append(coverage_report(dep, nodes))) < 32 * 2**20
+    assert reports[0].fed_by.tolist() == [160] * 10**5
+    assert reports[0].first_source.tolist() == [0] * 10**5
 
 
 @pytest.mark.parametrize("samples, radius", [(10**6, 1e-3), (4096, 2.0)])
@@ -252,6 +274,40 @@ def test_classified_count_equals_brute_force(case, seed):
         assert _per_point(classes, px, py) == [int(bool(feeds)) for feeds in membership]
 
 
+@settings(max_examples=150, deadline=None)
+@given(placements(), st.sampled_from([kernels._CANDIDATES, 4096]))
+@example((100.0, 100.0, 10.0, [(50.0, 50.0)] * 5 + [(60.0, 50.0)],
+          [(50.0, 50.0), (60.0, 50.0), (70.0, 50.0), (40.0, 50.0), (55.0, 50.0), (0.0, 0.0)]),
+         4096)
+@example((100.0, 100.0, 10.0, [(20.0, 20.0), (25.0, 20.0), (80.0, 80.0)],
+          [(20.0 + k * 10.0 / 16, 20.0 + j * 10.0 / 16) for k in range(-17, 18, 3)
+           for j in range(-17, 18, 4)]), kernels._CANDIDATES)
+def test_membership_equals_brute_force_on_grid_and_fallback(case, candidates):
+    """Per node, the lowest covering source and the number of covering
+    discs, from the cell map where a grid of at most ~10^5 cells fits the
+    radius, from the cell index alone, and through coverage_report. A
+    small candidate bound stamps 3 to 11 sources per block, so that two
+    discs near one cell meet both within a block and across blocks."""
+    width, height, radius, sources, nodes = case
+    field = EventField(width, height)
+    dep = Deployment(field, sources, radius, Strategy.EXPLICIT)
+    node_field = NodeField(field, nodes, seed=0)
+    expected = reference_first_fed(dep.sources.tolist(), node_field.positions.tolist(), radius)
+    sx, sy = dep.sources.T
+    px, py = node_field.positions.T
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kernels, "_CANDIDATES", candidates)
+        first, fed = kernels.CellIndex(sx, sy, radius, width, height).membership(px, py)
+        assert (first.tolist(), fed.tolist()) == expected
+        per_radius = kernels._cells_per_radius(2 * 10**5, width, height, radius)
+        if per_radius is not None:
+            cells = kernels.CellClasses(sx, sy, radius, width, height, per_radius)
+            first, fed = cells.membership(px, py)
+            assert (first.tolist(), fed.tolist()) == expected
+        report = coverage_report(dep, node_field)
+        assert (report.first_source.tolist(), report.fed_by.tolist()) == expected
+
+
 @pytest.mark.parametrize("radius", [5.0, 47.8])
 @pytest.mark.parametrize("per_radius", [16, 11, 8])
 def test_classified_count_on_cell_corners_and_circles(radius, per_radius):
@@ -285,8 +341,12 @@ def test_classified_count_on_cell_corners_and_circles(radius, per_radius):
     expected = [int(bool(feeds)) for feeds in reference_membership(sources, points, radius)]
     assert _per_point(counter, px, py) == expected
     assert counter.count([(px[:100], py[:100]), (px[100:], py[100:])]) == sum(expected)
+    first, fed = counter.membership(px, py)
+    assert (first.tolist(), fed.tolist()) == reference_first_fed(sources, points, radius)
     key = (py * counter.per_m).astype(np.intp) * counter.nx + (px * counter.per_m).astype(np.intp)
-    assert set(counter.classes[key].tolist()) == {0, 1, 2}  # empty, boundary, covered
+    assert set(counter.classes[key].tolist()) == {
+        kernels.EMPTY, kernels.ONE, kernels.COVERED, kernels.MANY, kernels.MANY_COVERED
+    }
 
 
 class TestCounterGenerator:
