@@ -20,7 +20,7 @@ from . import figures
 from .coverage import Strategy, required_power, source_count
 from .link_budget import max_range
 from .quantities import ValidationError
-from .scenario import Scenario, apply_overrides, load_scenario, parse_value
+from .scenario import RADIO_KEYS, Scenario, apply_overrides, load_scenario, parse_value
 from .sweep_report import SweepTable, write_csv, write_svg_plot
 
 
@@ -45,10 +45,8 @@ def build_parser() -> argparse.ArgumentParser:
     # Each subcommand takes only the flags it reads; each parent adds to the one before.
     radio = _Parser(add_help=False)
     radio.add_argument("--scenario", type=Path, help="scenario file (key = value lines)")
-    _key_flags(
-        radio, "p_t_w eirp_product_w g_t_dbi g_r_dbi f_hz v_min_v r_r_ohm r_l_ohm",
-        eirp_product_w={"help": "p_t*g_t*g_r folded into one value (gains become 1)"},
-    )
+    _key_flags(radio, RADIO_KEYS, eirp_product_w={
+        "help": "p_t*g_t*g_r folded into one value (gains become 1)"})
     field = _Parser(add_help=False, parents=[radio])
     field.add_argument("--area-m2", dest="field_area_m2")
     output = _Parser(add_help=False, parents=[field])
@@ -143,10 +141,10 @@ def _cmd_deploy(args, scenario: Scenario) -> int:
         metadata=meta,
     )
     write_csv(placement, args.out / "placement.csv")
-    covered = (report.fed_by != 0).astype(np.int64)
     coverage = SweepTable(
         columns=("node", "x_m", "y_m", "covered", "first_source"),
-        data=(np.arange(report.total_count), *nodes.positions.T, covered, report.first_source),
+        data=(np.arange(report.total_count), *nodes.positions.T, report.fed_by != 0,
+              report.first_source),
         metadata={**meta, "covered_count": report.covered_count, "total_count": report.total_count},
     )
     write_csv(coverage, args.out / "coverage.csv")

@@ -217,22 +217,19 @@ def monte_carlo_coverage(
 def detect_interference(dep: Deployment, nodes: NodeField) -> InterferenceReport:
     """Overlapping-range source pairs and nodes inside >=2 discs."""
     _check_fields(dep, nodes)
-    pairs: list[tuple[int, int, float]] = []
     # relative slack keeps exactly-touching grid discs (spacing 2r up to
     # fp rounding) out of the overlap list
     threshold = 2.0 * dep.r_rf * (1.0 - 1e-12)
     # the index only prunes, with a slightly wider bound: the decision and
-    # the reported distance come from math.hypot, which np.hypot is not
+    # the reported distance come from math.hypot, which np.hypot is not,
+    # over array differences, the same IEEE ones as Python floats give
     sx, sy = dep.sources.T
     w, h = dep.field.width, dep.field.height
-    rows, cols = kernels.CellIndex(sx, sy, threshold * (1.0 + 1e-9), w, h).hits(sx, sy)
-    sources = dep.sources.tolist()
-    for i, j in zip(rows.tolist(), cols.tolist()):
-        if i < j:
-            (xi, yi), (xj, yj) = sources[i], sources[j]
-            d = math.hypot(xi - xj, yi - yj)
-            if d < threshold:
-                pairs.append((i, j, d))
+    i, j = kernels.CellIndex(sx, sy, threshold * (1.0 + 1e-9), w, h).pairs(sx, sy)
+    d = np.fromiter(map(math.hypot, (sx[i] - sx[j]).tolist(), (sy[i] - sy[j]).tolist()),
+                    dtype=np.float64, count=len(i))
+    close = d < threshold
+    pairs = zip(i[close].tolist(), j[close].tolist(), d[close].tolist())
     _, fed_by = _membership(dep, nodes)
     multi = np.flatnonzero(fed_by >= 2)
     return InterferenceReport(source_pairs=tuple(pairs), multi_fed_nodes=tuple(multi.tolist()))

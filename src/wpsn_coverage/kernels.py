@@ -86,6 +86,17 @@ def points_block(
     return u[0::2] * width, u[1::2] * height
 
 
+def _in_disc(x, y, sx, sy, r_sq: float, d2=None, dy=None) -> np.ndarray:
+    """dx*dx + dy*dy <= r*r elementwise, in place (in buffers d2 and dy if
+    given): every disc answer comes from this one expression, bit for bit."""
+    d2 = np.subtract(x, sx, out=d2)
+    d2 *= d2
+    dy = np.subtract(y, sy, out=dy)
+    dy *= dy
+    d2 += dy
+    return d2 <= r_sq
+
+
 class CellIndex:
     """Sources in square cells, sorted by cell key, with per-cell offsets.
 
@@ -147,14 +158,15 @@ class CellIndex:
         candidate c, which is source c when pos is None and source
         order[pos[p, c]] otherwise.
 
-        A block's temporaries are still held when the next chunk is
-        drawn, so the allocator reuses their pages: freeing them first
-        made 2.5x as many page faults on a 2*10^6-sample run.
+        The disc test reuses two buffers per chunk and a block's other
+        temporaries live until the next chunk is drawn, so the allocator
+        reuses their pages: freeing them made 1.5-2.5x the page faults.
         """
         width = 3 * self.run if self.pruned else self.size
         block = max(1, _CANDIDATES // max(width, 1))
         slots = np.arange(self.run)
         for px, py in chunks:
+            d2, dy = np.empty((2, min(block, len(px)), width))
             for lo in range(0, len(px), block):
                 x = px[lo : lo + block, None]
                 y = py[lo : lo + block, None]
@@ -168,18 +180,11 @@ class CellIndex:
                 else:
                     pos = None
                     sx, sy = self.x, self.y
-                d2 = x - sx  # dx*dx + dy*dy, in place
-                d2 *= d2
-                dy = y - sy
-                dy *= dy
-                d2 += dy
-                yield lo, d2 <= self.r_sq, pos
+                yield lo, _in_disc(x, y, sx, sy, self.r_sq, d2[: len(x)], dy[: len(x)]), pos
 
     def count(self, chunks) -> int:
         """Number of points, over (x, y) chunks, within the radius of at
         least one source."""
-        if self.size == 0:
-            return 0
         return sum(int(ok.any(axis=1).sum()) for _, ok, _ in self._blocks(chunks))
 
     def membership(self, px: np.ndarray, py: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -204,14 +209,16 @@ class CellIndex:
             first[rows] = np.where(fed[rows] > 0, low, -1)
         return first, fed
 
-    def hits(self, px: np.ndarray, py: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(point, source) index pairs within the radius, sorted by point
-        and then by source."""
+    def pairs(self, sx: np.ndarray, sy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Self-join over the indexed sources, given again as sx, sy: the
+        (i, j) index pairs with i < j within the radius, sorted by i and
+        then by j."""
         keys = [np.empty(0, dtype=np.int64)]
-        for lo, ok, pos in self._blocks([(px, py)]):
-            p, c = np.nonzero(ok)
-            src = c if pos is None else self.order[pos[p, c]]
-            keys.append(np.sort((p + lo) * self.size + src))
+        for lo, ok, pos in self._blocks([(sx, sy)]):
+            i, c = np.nonzero(ok)
+            j = c if pos is None else self.order[pos[i, c]]
+            i += lo
+            keys.append(np.sort((i * self.size + j)[i < j]))
         return np.divmod(np.concatenate(keys), max(self.size, 1))
 
 
@@ -308,12 +315,7 @@ class CellClasses:
         code = self.classes[key]
         one = np.flatnonzero(code == ONE)
         src = self.sole[key[one]]
-        d2 = px[one] - self.x[src]  # as in CellIndex: bit-identical answers
-        d2 *= d2
-        dy = py[one] - self.y[src]
-        dy *= dy
-        d2 += dy
-        return key, code, one, d2 <= self.r_sq
+        return key, code, one, _in_disc(px[one], py[one], self.x[src], self.y[src], self.r_sq)
 
     def count(self, chunks) -> int:
         """Number of points, over (x, y) chunks, within the radius of at

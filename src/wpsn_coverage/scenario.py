@@ -153,12 +153,14 @@ class Scenario:
 
 
 _FIELDS = {f.name: f for f in fields(Scenario)}
+RADIO_KEYS = "p_t_w eirp_product_w g_t_dbi g_r_dbi f_hz v_min_v r_r_ohm r_l_ohm"  # link budget
 
 # Keys on both sides of a row conflict. A flag on one side displaces the
 # file's keys on the other, but never a key that is itself a flag.
 _EXCLUSIVE = (
     (("p_t_w", "g_t_dbi", "g_r_dbi"), ("eirp_product_w",)),
     (("field_width_m", "field_height_m"), ("field_area_m2",)),
+    (("r_rf_m",), tuple(RADIO_KEYS.split())),  # a given range skips the link budget
 )
 
 

@@ -158,6 +158,28 @@ class TestInterference:
         assert "pair,0,1,12" in text
         assert "source_pairs 1" in out
 
+    @pytest.mark.parametrize("x, y, pair", [
+        (19.986218846699707, 0.7423316044905003, False),  # np.hypot: a pair
+        (17.999831285400067, 8.718146230497226, True),  # np.hypot: no pair
+    ])
+    def test_distance_decided_by_math_hypot(self, capsys, tmp_path, x, y, pair):
+        """Two discs of r = 10 m whose centres lie within an ulp of the
+        threshold 2r(1 - 1e-12), where np.hypot and math.hypot disagree."""
+        scenario = tmp_path / "touching.scn"
+        scenario.write_text(
+            f"strategy = explicit\nsources = 0,0; {x!r},{y!r}\nr_rf_m = 10\nnode_count = 0\n"
+        )
+        out_dir = tmp_path / "o"
+        code, out, err = run(
+            capsys, "interference", "--scenario", str(scenario), "--out", str(out_dir)
+        )
+        assert code == 0, err
+        d = math.hypot(x, y)
+        assert (d < 20.0 * (1.0 - 1e-12)) is pair
+        assert f"source_pairs {int(pair)}\n" in out
+        rows = (out_dir / "interference.csv").read_text().splitlines()
+        assert [r for r in rows if r.startswith("pair,")] == ([f"pair,0,1,{d!r}"] if pair else [])
+
 
 class TestSweep:
     @pytest.mark.parametrize("figure", [4, 5, 6, 7, 8])
@@ -383,6 +405,38 @@ class TestFlagsAgainstFile:
         hex_grid = place_sources(EventField(100.0, 100.0), 15.0, Strategy.HEX_GRID)
         assert f"sources {len(hex_grid.sources)}\n" in out
         assert "# strategy = hex_grid" in (out_dir / "placement.csv").read_text()
+
+    @pytest.mark.parametrize("flag", [["--v-min-v", "0"], ["--f-hz", "2GHz"]])
+    def test_range_with_radio_flag_rejected(self, capsys, tmp_path, flag):
+        """A given range skips the link budget, so a radio flag could not
+        take effect."""
+        code, out, err = run(
+            capsys, "deploy", "--r-rf-m", "10", *flag, "--out", str(tmp_path / "o")
+        )
+        assert code == 1
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error: ") and "r_rf_m" in err
+
+    def test_range_flag_displaces_file_radio(self, capsys, tmp_path, design_file):
+        out_dir = tmp_path / "o"
+        code, out, err = run(
+            capsys, "deploy", "--scenario", str(design_file), "--r-rf-m", "10",
+            "--out", str(out_dir),
+        )
+        assert code == 0, err
+        assert "# r_rf_m = 10\n" in (out_dir / "placement.csv").read_text()
+
+    def test_radio_flag_displaces_file_range(self, capsys, tmp_path):
+        scenario = tmp_path / "range.scn"
+        scenario.write_text("r_rf_m = 10\n")
+        out_dir = tmp_path / "o"
+        code, out, err = run(
+            capsys, "deploy", "--scenario", str(scenario), "--f-hz", "2GHz",
+            "--out", str(out_dir),
+        )
+        assert code == 0, err
+        r = max_range(RadioParams.from_si(1.0, 8.5, 8.5, 2e9)).meters
+        assert f"# r_rf_m = {r!r}\n" in (out_dir / "placement.csv").read_text()
 
     def test_conflicting_flags_rejected(self, capsys):
         code, out, err = run(capsys, "range", "--p-t-w", "1", "--eirp-product-w", "4")

@@ -146,6 +146,27 @@ def test_disc_queries_equal_brute_force(case, seed):
     )
 
 
+@pytest.mark.parametrize("low, high", [(1.0, 99.0), (45.0, 55.0)])
+def test_close_sources_pair_once_in_order(low, high):
+    """Four copies of each point of a lattice of spacing 3.8: two on it
+    (coincident), one 0.7 above and one 0.7 below, far apart in index
+    order. Every pair (i, j) within 2r comes once, with i < j, sorted by
+    (i, j), and never as (i, i); the copy below has the higher index but
+    often lies in a lower row of cells, so its candidates come first. The
+    lattice over the whole field is pruned, the one in its centre is not."""
+    grid = np.arange(low, high, 3.8).tolist()
+    lattice = [(x, y) for x in grid for y in grid]
+    copies = [[(x, y + dy) for x, y in lattice] for dy in (0.0, 0.7, 0.0, -0.7)]
+    field = EventField(100.0, 100.0)
+    dep = Deployment(field, [p for c in copies for p in c], 1.0, Strategy.EXPLICIT)
+    sx, sy = dep.sources.T
+    assert kernels.CellIndex(sx, sy, 2.0, 100.0, 100.0).pruned is (low == 1.0)
+    pairs = list(detect_interference(dep, NodeField(field, [], seed=0)).source_pairs)
+    assert all(i < j for i, j, _ in pairs) and pairs == sorted(pairs)
+    assert len(pairs) == 6 * len(lattice)
+    assert pairs == reference_pairs(dep.sources.tolist(), 1.0)
+
+
 def test_index_prunes_only_where_it_can():
     """Three design-point sources share every neighbourhood, so each point
     tests all three directly; a dense lattice of small discs is pruned."""

@@ -122,6 +122,8 @@ class TestParseScenario:
             "sources = 10,10\n",
             "strategy = hex_grid\nsources = 10,10; 30,30\n",
             "strategy = explicit\n",
+            "r_rf_m = 10\nf_hz = 2GHz\n",
+            "r_rf_m = 10\neirp_product_w = 4\n",
         ],
     )
     def test_key_without_effect_rejected(self, doc):
@@ -183,6 +185,16 @@ class TestOverrides:
     def test_overrides_never_displace_each_other(self):
         with pytest.raises(ConstraintError):
             apply_overrides(Scenario(), p_t_w=1.0, eirp_product_w=4.0)
+
+    def test_range_override_displaces_radio(self):
+        s = apply_overrides(parse_scenario(DESIGN_DOC), r_rf_m=10.0)
+        assert s.r_rf_m == 10.0
+        assert all(getattr(s, key) is None for key in ("p_t_w", "g_t_dbi", "f_hz", "v_min_v"))
+
+    def test_radio_override_displaces_range(self):
+        s = apply_overrides(parse_scenario("r_rf_m = 10\n"), f_hz=2e9)
+        assert s.r_rf_m is None
+        assert s.radio().f.hertz == 2e9
 
     def test_area_override_displaces_rectangle(self):
         s = parse_scenario("field_width_m = 100\nfield_height_m = 50\n")
