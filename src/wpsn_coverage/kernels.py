@@ -110,8 +110,9 @@ class CellIndex:
     """
 
     def __init__(self, sources_x, sources_y, radius: float, width: float, height: float):
-        x = np.ascontiguousarray(sources_x, dtype=np.float64)
-        y = np.ascontiguousarray(sources_y, dtype=np.float64)
+        # the centres in index order; self.x, self.y below are the candidates
+        self.sx = x = np.ascontiguousarray(sources_x, dtype=np.float64)
+        self.sy = y = np.ascontiguousarray(sources_y, dtype=np.float64)
         self.size = n = x.size
         self.r_sq = radius * radius
         s = max(n, 1)
@@ -209,12 +210,11 @@ class CellIndex:
             first[rows] = np.where(fed[rows] > 0, low, -1)
         return first, fed
 
-    def pairs(self, sx: np.ndarray, sy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Self-join over the indexed sources, given again as sx, sy: the
-        (i, j) index pairs with i < j within the radius, sorted by i and
-        then by j."""
+    def pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """Self-join over the indexed sources: the (i, j) index pairs with
+        i < j within the radius, sorted by i and then by j."""
         keys = [np.empty(0, dtype=np.int64)]
-        for lo, ok, pos in self._blocks([(sx, sy)]):
+        for lo, ok, pos in self._blocks([(self.sx, self.sy)]):
             i, c = np.nonzero(ok)
             j = c if pos is None else self.order[pos[i, c]]
             i += lo
@@ -255,8 +255,7 @@ class CellClasses:
     def __init__(self, sources_x, sources_y, radius: float, width: float, height: float,
                  per_radius: int):
         self.index = CellIndex(sources_x, sources_y, radius, width, height)
-        self.x = x = np.ascontiguousarray(sources_x, dtype=np.float64)
-        self.y = y = np.ascontiguousarray(sources_y, dtype=np.float64)
+        self.x, self.y = x, y = self.index.sx, self.index.sy
         self.r_sq = self.index.r_sq
         self.per_m = per_m = per_radius / radius
         side = radius / per_radius
@@ -372,25 +371,12 @@ def disc_index(count: int, width: float, height: float, sources_x, sources_y,
 
 
 def covered_count(
-    seed: int,
-    start: int,
-    count: int,
-    width: float,
-    height: float,
-    sources_x: np.ndarray,
-    sources_y: np.ndarray,
-    radius: float,
-    *,
-    index: CellIndex | CellClasses | None = None,
+    seed: int, start: int, count: int, width: float, height: float,
+    index: CellIndex | CellClasses,
 ) -> int:
-    """Number of samples in [start, start+count) that fall inside >=1 disc.
-
-    `index` is a `disc_index` of these sources and radius, built once by a
-    caller that splits one call's samples into spans; without it, one is
-    built for this call's count.
-    """
-    if index is None:
-        index = disc_index(count, width, height, sources_x, sources_y, radius)
+    """Number of samples in [start, start+count) that fall inside >=1 disc
+    of `index`, a `disc_index` of the sources built by the caller: once
+    for all the spans into which a caller splits one call's samples."""
     return index.count(
         points_block(seed, lo, min(_CHUNK, start + count - lo), width, height)
         for lo in range(start, start + count, _CHUNK)

@@ -88,7 +88,8 @@ def _key(kind: str, default=None):
 class Scenario:
     """Fully validated scenario; None means "use the built-in default".
 
-    Each field is one scenario key and one CLI flag; its metadata holds
+    Each field is one scenario key, and all but field_width_m,
+    field_height_m and sources are also one CLI flag; its metadata holds
     the parser kind and the built-in default.
     """
 

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from wpsn_coverage import deployment
 from wpsn_coverage.coverage import EventField, source_count_from_range
@@ -38,6 +38,52 @@ def pairwise_min_distance(sources):
     )
 
 
+def reference_grid(field, r, strategy):
+    """The grid positions as the placement loops appended them, one
+    (x, y) pair at a time: the reference for the array placement."""
+    positions = []
+    if strategy is Strategy.SQUARE_GRID:
+        for j in range(int(field.height // (2.0 * r))):
+            for i in range(int(field.width // (2.0 * r))):
+                positions.append(((2 * i + 1) * r, (2 * j + 1) * r))
+    else:
+        pitch = r * math.sqrt(3.0) * (1.0 + 1e-9)
+        j = 0
+        y = r
+        while y <= field.height - r + 1e-12:
+            x = r + (r if j % 2 else 0.0)
+            while x <= field.width - r + 1e-12:
+                positions.append((x, y))
+                x += 2.0 * r
+            j += 1
+            y = r + j * pitch
+    return np.array(positions, dtype=np.float64).reshape(-1, 2)
+
+
+@st.composite
+def grid_geometries(draw):
+    """(width, height, r, strategy) of at most ~2.5 * 10^4 positions on
+    fields up to 10^6 m a side: fields the grid tiles exactly (W = 2r k,
+    H = 2r + k pitch or 2r k), those an ulp either side, and any others."""
+    strategy = draw(st.sampled_from([Strategy.SQUARE_GRID, Strategy.HEX_GRID]))
+    kx, ky = draw(st.integers(1, 400)), draw(st.integers(0, 50))
+    r = draw(st.floats(min_value=1e-3, max_value=min(5e5 / (kx + 1), 1e6 / (2.0 * ky + 3.0))))
+    pitch = r * math.sqrt(3.0) * (1.0 + 1e-9)
+
+    def side(tiled, k):
+        exact = draw(st.sampled_from(tiled))
+        value = draw(st.one_of(
+            st.just(exact),
+            st.sampled_from([np.nextafter(exact, 0.0), np.nextafter(exact, np.inf)]),
+            st.floats(min_value=2.0 * r, max_value=2.0 * r * (k + 1)),
+        ))
+        return max(float(value), 2.0 * r)
+
+    width = side([2.0 * r * kx], kx)
+    height = side([2.0 * r + ky * pitch, 2.0 * r * (ky + 1)], ky)
+    return width, height, r, strategy
+
+
 class TestPlaceSources:
     def test_square_grid_100m_field(self):
         dep = place_sources(EventField(100.0, 100.0), 13.49, Strategy.SQUARE_GRID)
@@ -66,9 +112,9 @@ class TestPlaceSources:
 
     @pytest.mark.parametrize("strategy", ["square_grid", "hex_grid"])
     def test_tiny_radius_rejected_before_any_loop(self, tmp_path, strategy):
-        # an unbounded grid loop at 1e-300 m runs until killed: a child
-        # process under a time and a 1 GiB address-space limit keeps it
-        # from hanging or exhausting the host
+        # a grid sized by the radius alone asks for ~1e604 positions at
+        # 1e-300 m: a child process under a time and a 1 GiB address-space
+        # limit shows that the cap rejects it before anything is allocated
         path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
         env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1"}
         argv = ["deploy", "--r-rf-m", "1e-300", "--strategy", strategy, "--out", str(tmp_path)]
@@ -85,7 +131,7 @@ class TestPlaceSources:
         "field, strategy, count",
         [
             (EventField(202.0, 19802.0), Strategy.SQUARE_GRID, 101 * 9901),
-            (EventField(201.0, 17323.0), Strategy.HEX_GRID, 100 * 10001),
+            (EventField(201.0, 17323.0), Strategy.HEX_GRID, 101 * 10002),  # with spares
         ],
     )
     def test_grid_just_over_the_cap_rejected(self, field, strategy, count):
@@ -93,16 +139,45 @@ class TestPlaceSources:
         with pytest.raises(ValidationError, match=f"needs up to {count} sources"):
             place_sources(field, 1.0, strategy)
 
-    @pytest.mark.parametrize("strategy", [Strategy.SQUARE_GRID, Strategy.HEX_GRID])
-    def test_cap_counts_no_fewer_than_placed(self, monkeypatch, strategy):
-        field = EventField(103.0, 71.0)
-        placed = len(place_sources(field, 3.0, strategy).sources)
+    @pytest.mark.parametrize(
+        "field, r, strategy",
+        [
+            pytest.param(EventField(103.0, 71.0), 3.0, Strategy.SQUARE_GRID, id="square_grid"),
+            pytest.param(EventField(103.0, 71.0), 3.0, Strategy.HEX_GRID, id="hex_grid"),
+            # rounding in the row's repeated additions admits a 101st column
+            # where (W - 2r + 1e-12) // 2r + 1 counts 100
+            pytest.param(EventField(18505.79360268271, 200.0), 91.61283961724114,
+                         Strategy.HEX_GRID, id="hex_grid_wide_row"),
+        ],
+    )
+    def test_cap_counts_no_fewer_than_placed(self, monkeypatch, field, r, strategy):
+        placed = len(place_sources(field, r, strategy).sources)
         monkeypatch.setattr(deployment, "MAX_GRID_SOURCES", placed - 1)
         with pytest.raises(ValidationError, match="cap"):
-            place_sources(field, 3.0, strategy)
+            place_sources(field, r, strategy)
         if strategy is Strategy.SQUARE_GRID:  # the square count is exact
             monkeypatch.setattr(deployment, "MAX_GRID_SOURCES", placed)
-            assert len(place_sources(field, 3.0, strategy).sources) == placed
+            assert len(place_sources(field, r, strategy).sources) == placed
+
+    def test_wide_field_over_the_cap_rejected(self):
+        # the rows of this grid hold one column more than the closed form
+        # counts: 1,005,000 positions where it counts 10^6
+        field = EventField(18505.79360268271, 1586806.4776002194)
+        with pytest.raises(ValidationError, match="over the cap"):
+            place_sources(field, 91.61283961724114, Strategy.HEX_GRID)
+
+    @settings(max_examples=300, deadline=None)
+    @given(grid_geometries())
+    @example((2 * 91.61283961724114 * 101, 200.0, 91.61283961724114, Strategy.HEX_GRID))
+    def test_positions_equal_the_placement_loops(self, geometry):
+        width, height, r, strategy = geometry
+        field = EventField(width, height)
+        expected = reference_grid(field, r, strategy)
+        assert np.array_equal(place_sources(field, r, strategy).sources, expected)
+        with pytest.MonkeyPatch.context() as patch:  # the cap counts every placed source
+            patch.setattr(deployment, "MAX_GRID_SOURCES", len(expected) - 1)
+            with pytest.raises(ValidationError, match="cap"):
+                place_sources(field, r, strategy)
 
     @settings(max_examples=60, deadline=None)
     @given(

@@ -46,6 +46,12 @@ def reference_covered_count(seed, start, count, width, height, sources_x, source
     return total
 
 
+def covered_count(seed, start, count, width, height, sources_x, sources_y, radius):
+    """`kernels.covered_count` over a `disc_index` built for this count."""
+    index = kernels.disc_index(count, width, height, sources_x, sources_y, radius)
+    return kernels.covered_count(seed, start, count, width, height, index)
+
+
 def reference_membership(sources, nodes, radius):
     """Per node, the indices of the closed discs it lies in, in index order."""
     r_sq = radius * radius
@@ -132,7 +138,7 @@ def test_disc_queries_equal_brute_force(case, seed):
     dep = Deployment(field, sources, radius, Strategy.EXPLICIT)
     sx, sy = dep.sources.T
 
-    assert kernels.covered_count(seed, 5, 3000, width, height, sx, sy, radius) == (
+    assert covered_count(seed, 5, 3000, width, height, sx, sy, radius) == (
         reference_covered_count(seed, 5, 3000, width, height, sx, sy, radius)
     )
 
@@ -220,7 +226,7 @@ def test_memory_bounded_by_points_plus_candidates():
     nodes = NodeField(field, rng.uniform(0.0, 400.0, size=(4096, 2)), seed=0)
     sx, sy = dep.sources.T
     for run in (
-        lambda: kernels.covered_count(9, 0, 4096, 400.0, 400.0, sx, sy, 2.0),
+        lambda: covered_count(9, 0, 4096, 400.0, 400.0, sx, sy, 2.0),
         lambda: coverage_report(dep, nodes),
     ):
         assert _traced_peak(run) < 32 * 2**20
@@ -233,7 +239,7 @@ def test_classified_memory_bounded_on_many_nodes_geometry():
     sx, sy = dep.sources.T
     assert kernels._cells_per_radius(10**6, 400.0, 400.0, 10.0) == 16
     assert _traced_peak(
-        lambda: kernels.covered_count(3, 0, 10**6, 400.0, 400.0, sx, sy, 10.0)
+        lambda: covered_count(3, 0, 10**6, 400.0, 400.0, sx, sy, 10.0)
     ) < 32 * 2**20
 
 
@@ -264,7 +270,7 @@ def test_fallback_allocates_no_cells(monkeypatch, samples, radius):
 
     monkeypatch.setattr(kernels, "CellClasses", refuse)
     assert _traced_peak(
-        lambda: kernels.covered_count(4, 0, samples, 400.0, 400.0, sx, sy, radius)
+        lambda: covered_count(4, 0, samples, 400.0, 400.0, sx, sy, radius)
     ) < 32 * 2**20
 
 
@@ -286,7 +292,7 @@ def test_classified_count_equals_brute_force(case, seed):
     expected = reference_covered_count(seed, 5, 3000, width, height, sx, sy, radius)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(kernels, "_CELLS_PER_SAMPLE", math.inf)
-        assert kernels.covered_count(seed, 5, 3000, width, height, sx, sy, radius) == expected
+        assert covered_count(seed, 5, 3000, width, height, sx, sy, radius) == expected
         per_radius = kernels._cells_per_radius(3000, width, height, radius)
     if per_radius is not None and nodes:
         classes = kernels.CellClasses(sx, sy, radius, width, height, per_radius)
@@ -420,11 +426,13 @@ class TestCounterGenerator:
     def test_covered_count_split_additive(self, impl):
         sx = np.array([5.0])
         sy = np.array([5.0])
-        total = impl.covered_count(11, 0, 50000, 10.0, 10.0, sx, sy, 4.0)
-        split = impl.covered_count(11, 0, 20000, 10.0, 10.0, sx, sy, 4.0) + impl.covered_count(
-            11, 20000, 30000, 10.0, 10.0, sx, sy, 4.0
+        index = impl.disc_index(50000, 10.0, 10.0, sx, sy, 4.0)
+        total = impl.covered_count(11, 0, 50000, 10.0, 10.0, index)
+        split = impl.covered_count(11, 0, 20000, 10.0, 10.0, index) + impl.covered_count(
+            11, 20000, 30000, 10.0, 10.0, index
         )
         assert total == split
 
     def test_covered_count_empty_sources(self, impl):
-        assert impl.covered_count(0, 0, 100, 1.0, 1.0, np.array([]), np.array([]), 1.0) == 0
+        index = impl.disc_index(100, 1.0, 1.0, np.array([]), np.array([]), 1.0)
+        assert impl.covered_count(0, 0, 100, 1.0, 1.0, index) == 0
