@@ -1,11 +1,12 @@
-"""Numeric CSV columns as byte matrices.
+"""CSV columns as byte matrices: numpy numeric or bytes columns, masked cells empty.
 
 `sweep_report` imports this module only for a block of rows whose every
-column is a numeric numpy array. Each column becomes a `(width, n)`
-uint8 matrix: column r of it, with its zero bytes dropped, is cell r as
-`sweep_report._format_number` writes it. `rows_bytes` stacks the
-matrices with ',' and '\\n' rows, turns them row-major and drops every
-zero byte at once.
+column is a numpy numeric or bytes (`S`) array, masked or not. Each
+column becomes a `(width, n)` uint8 matrix: column r of it, with its
+zero bytes dropped, is cell r as `sweep_report._format_number` writes it,
+a bytes cell as it is, and a masked cell as nothing. `rows_bytes` stacks
+the matrices with ',' and '\\n' rows, turns them row-major and drops
+every zero byte at once.
 
 Integers, bools and integral floats under 1e16 are written one digit
 position for all cells at a time. Other floats with 1e-4 <= |x| < 2**53
@@ -134,13 +135,14 @@ def _int_matrix(v):
     return out
 
 
-def _text_matrix(texts):
-    raw = np.array([t.encode() for t in texts], dtype=bytes)
-    return raw.view(np.uint8).reshape(len(texts), -1).T
-
-
 def column_matrix(values):
-    """The (width, n) byte matrix of a numeric numpy column."""
+    """The (width, n) byte matrix of a numeric or bytes numpy column, or of
+    a masked one, whose masked cells are empty."""
+    if hasattr(values, "mask"):  # masked, tested without importing numpy.ma (~14 ms)
+        return column_matrix(values.data) * ~np.ma.getmaskarray(values)
+    if values.dtype.kind == "S":  # bytes as they are
+        raw = np.ascontiguousarray(values)
+        return raw.view(np.uint8).reshape(len(raw), raw.itemsize).T
     if values.dtype.kind != "f":
         return _int_matrix(values.astype(np.int64, copy=False))
     x = values.astype(np.float64, copy=False)
@@ -159,7 +161,8 @@ def column_matrix(values):
     if len(integral):
         parts.append((integral, _int_matrix(x[integral].astype(np.int64))))
     if len(rest):
-        parts.append((rest, _text_matrix([_format_number(v) for v in x[rest].tolist()])))
+        texts = np.array([_format_number(v).encode() for v in x[rest].tolist()])
+        parts.append((rest, column_matrix(texts)))
     if len(parts) == 1:
         return parts[0][1]
     out = np.zeros((max((mat.shape[0] for _, mat in parts), default=0), len(x)), np.uint8)
@@ -169,7 +172,7 @@ def column_matrix(values):
 
 
 def rows_bytes(columns) -> bytes:
-    """CSV lines of equal-length numeric numpy columns, each line ended by '\\n'."""
+    """CSV lines of equal-length `column_matrix` columns, each line ended by '\\n'."""
     n = len(columns[0])
     comma, newline = (np.full((1, n), ord(c), np.uint8) for c in ",\n")
     pieces = []

@@ -94,14 +94,25 @@ class CoverageReport:
         return self.covered_count / total if total else 0.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InterferenceReport:
-    source_pairs: tuple[tuple[int, int, float], ...]
-    multi_fed_nodes: tuple[int, ...]
+    pair_i: np.ndarray  # (P,) int64: overlapping pair k is sources pair_i[k] < pair_j[k]
+    pair_j: np.ndarray  # (P,) int64
+    distance: np.ndarray  # (P,) float64: their distance, m (math.hypot)
+    multi_fed: np.ndarray  # (M,) int64: the nodes inside two or more discs
+
+    @property
+    def source_pairs(self) -> tuple[tuple[int, int, float], ...]:
+        """(i, j, distance) tuples, built on each read."""
+        return tuple(zip(self.pair_i.tolist(), self.pair_j.tolist(), self.distance.tolist()))
+
+    @property
+    def multi_fed_nodes(self) -> tuple[int, ...]:
+        return tuple(self.multi_fed.tolist())
 
     @property
     def clean(self) -> bool:
-        return not self.source_pairs and not self.multi_fed_nodes
+        return not len(self.pair_i) and not len(self.multi_fed)
 
 
 def place_sources(
@@ -224,10 +235,11 @@ def detect_interference(dep: Deployment, nodes: NodeField) -> InterferenceReport
     sx, sy = dep.sources.T
     w, h = dep.field.width, dep.field.height
     i, j = kernels.CellIndex(sx, sy, threshold * (1.0 + 1e-9), w, h).pairs()
-    d = np.fromiter(map(math.hypot, (sx[i] - sx[j]).tolist(), (sy[i] - sy[j]).tolist()),
-                    dtype=np.float64, count=len(i))
+    d = np.empty(len(i))
+    for lo in range(0, len(i), 1 << 16):  # slices bound the Python floats alive at once
+        a, b = i[lo : lo + (1 << 16)], j[lo : lo + (1 << 16)]
+        dx, dy = (sx[a] - sx[b]).tolist(), (sy[a] - sy[b]).tolist()
+        d[lo : lo + len(a)] = np.fromiter(map(math.hypot, dx, dy), np.float64, len(a))
     close = d < threshold
-    pairs = zip(i[close].tolist(), j[close].tolist(), d[close].tolist())
     _, fed_by = _membership(dep, nodes)
-    multi = np.flatnonzero(fed_by >= 2)
-    return InterferenceReport(source_pairs=tuple(pairs), multi_fed_nodes=tuple(multi.tolist()))
+    return InterferenceReport(i[close], j[close], d[close], np.flatnonzero(fed_by >= 2))

@@ -3,9 +3,9 @@
 A `SweepTable` holds named columns, one sequence of cells per column and
 a metadata dict; cells and metadata values are numbers or text.
 Serialization is byte-stable: identical inputs always produce identical
-files. Every cell is written as `_format_number` writes it: a table whose
-every column is a numeric numpy array through the byte matrices of
-`byte_columns`, one block of rows at a time, any other table cell by cell.
+files. Every cell is written as `_format_number` writes it: a table of
+numpy numeric or bytes columns, masked cells empty, through the byte
+matrices of `byte_columns` a block of rows at a time, others cell by cell.
 """
 
 from __future__ import annotations
@@ -56,8 +56,8 @@ def _csv_blocks(table: SweepTable):
     meta = "".join(f"# {k} = {_format_number(v)}\n" for k, v in sorted(table.metadata.items()))
     yield (meta + ",".join(table.columns) + "\n").encode()
     rows = _text_rows
-    if table.data and all(hasattr(c, "dtype") and c.dtype.kind in "bif" for c in table.data):
-        from .byte_columns import rows_bytes as rows  # numeric arrays: numpy is loaded
+    if table.data and all(hasattr(c, "dtype") and c.dtype.kind in "bifS" for c in table.data):
+        from .byte_columns import rows_bytes as rows  # numpy arrays: numpy is loaded
 
     for lo in range(0, len(table.data[0]) if table.data else 0, _BLOCK):
         yield rows([column[lo : lo + _BLOCK] for column in table.data])

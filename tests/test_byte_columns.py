@@ -81,3 +81,33 @@ def test_fast_path_proves_nearly_every_coordinate(monkeypatch):
         for lo in range(0, len(values), BLOCK):
             byte_columns.column_matrix(values[lo : lo + BLOCK])
     assert len(fallbacks) < 0.1 * 10**6
+
+
+def test_bytes_and_masked_columns_match_the_per_cell_writer():
+    """Bytes cells are written as they are, masked cells as nothing: with
+    masks at every block's first and last row and one block masked whole."""
+    rng = np.random.default_rng(2)
+    edges = _edge_doubles()
+    n = 4 * BLOCK
+    floats = np.concatenate([edges, points_block(5, 0, n, *FIELDS[1])[0]])[rng.permutation(n)]
+    texts = np.array([b"", b"pair", b"node", b"x"])[rng.integers(0, 4, n)]
+    ints = rng.integers(-(2**63), 2**63, n)
+    ints[::3] = rng.integers(-1000, 1000, len(ints[::3]))
+    mask = rng.random(n) < 0.3
+    mask[::BLOCK] = mask[BLOCK - 1 :: BLOCK] = True
+    mask[BLOCK : 2 * BLOCK] = True
+    mask[3 * BLOCK + 1 : 4 * BLOCK - 1] = False
+    columns = (texts, np.ma.array(ints, mask=mask), np.ma.array(floats, mask=mask[::-1]), texts)
+    written = b"".join(
+        byte_columns.rows_bytes([c[lo : lo + BLOCK] for c in columns])
+        for lo in range(0, n, BLOCK)
+    )
+
+    def cells(column):
+        if column.dtype.kind == "S":
+            return [t.decode() for t in column.tolist()]
+        return ["" if m else _format_number(v)
+                for v, m in zip(column.data.tolist(), np.ma.getmaskarray(column).tolist())]
+
+    expected = "".join(",".join(row) + "\n" for row in zip(*map(cells, columns))).encode()
+    assert written == expected

@@ -6,12 +6,13 @@ from pathlib import Path
 
 import pytest
 
-from wpsn_coverage import cli
+from wpsn_coverage import cli, deployment, sweep_report
 from wpsn_coverage.coverage import EventField, source_count
 from wpsn_coverage.deployment import Strategy, place_sources
 from wpsn_coverage.link_budget import RadioParams, max_range
 from wpsn_coverage.quantities import ValidationError
-from wpsn_coverage.scenario import Scenario, parse_scenario
+from wpsn_coverage.scenario import Scenario, load_scenario, parse_scenario
+from wpsn_coverage.sweep_report import _BLOCK, _format_number, _text_rows
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -179,6 +180,83 @@ class TestInterference:
         assert f"source_pairs {int(pair)}\n" in out
         rows = (out_dir / "interference.csv").read_text().splitlines()
         assert [r for r in rows if r.startswith("pair,")] == ([f"pair,0,1,{d!r}"] if pair else [])
+
+
+def reference_interference_csv(scenario_path: Path) -> bytes:
+    """interference.csv laid out from the report's tuple views: pair rows,
+    then node rows with j and distance empty, one `_format_number` call
+    per cell."""
+    dep, nodes = cli._deployment(load_scenario(scenario_path))
+    report = deployment.detect_interference(dep, nodes)
+    pairs, multi = report.source_pairs, report.multi_fed_nodes
+    i, j, d = zip(*pairs) if pairs else ((), (), ())
+    blank = ("",) * len(multi)
+    columns = (("pair",) * len(pairs) + ("node",) * len(multi), i + multi, j + blank, d + blank)
+    meta = {"r_rf_m": dep.r_rf, "strategy": dep.strategy.value}
+    head = "".join(f"# {k} = {_format_number(v)}\n" for k, v in sorted(meta.items()))
+    return (head + "kind,i,j,distance_m\n").encode() + (_text_rows(columns) if i + multi else b"")
+
+
+INTERFERENCE_CASES = {
+    "no_rows": "sources = 10,10; 60,30\nr_rf_m = 5\nnode_count = 100\n",
+    "pairs_only": "sources = 40,20; 45.5,21.25; 50,20\nr_rf_m = 8\nnode_count = 0\n",
+    "coincident": "sources = 40,20; 40,20\nr_rf_m = 8\nnode_count = 200\n",
+    "integral_distance": "sources = 40,20; 52,20\nr_rf_m = 8\nnode_count = 200\n",
+    "exponent_distance": "sources = 40,20; 40.00003,20.00001\nr_rf_m = 8\nnode_count = 200\n",
+    # 19,900 pairs and some node rows: the second block spans the boundary
+    "over_one_block": "sources = " + "; ".join(["40,20"] * 200) + "\nr_rf_m = 8\n"
+                      "node_count = 300\n",
+}
+
+# a row each of these cases writes
+INTERFERENCE_ROWS = {
+    "coincident": b"\npair,0,1,0\n",
+    "integral_distance": b"\npair,0,1,12\n",
+    "exponent_distance": b"\npair,0,1,3.1622776603857024e-05\n",
+}
+
+
+class TestInterferenceWriter:
+    @pytest.mark.parametrize("case", INTERFERENCE_CASES)
+    def test_file_equals_the_per_cell_layout(self, capsys, tmp_path, case):
+        scenario = tmp_path / "case.scn"
+        scenario.write_text(
+            "field_width_m = 100\nfield_height_m = 40\nstrategy = explicit\nnode_seed = 5\n"
+            + INTERFERENCE_CASES[case]
+        )
+        code, out, err = run(
+            capsys, "interference", "--scenario", str(scenario), "--out", str(tmp_path / "o")
+        )
+        assert code == 0, err
+        written = (tmp_path / "o" / "interference.csv").read_bytes()
+        assert written == reference_interference_csv(scenario)
+        assert INTERFERENCE_ROWS.get(case, b"") in written
+        pairs, nodes = written.count(b"\npair,"), written.count(b"\nnode,")
+        assert out == f"source_pairs {pairs}\nmulti_fed_nodes {nodes}\n"
+        assert (pairs + nodes == 0) is (case == "no_rows")
+        assert (nodes == 0) is (case in ("no_rows", "pairs_only"))
+        if case == "over_one_block":
+            assert _BLOCK < pairs < pairs + nodes
+
+    def test_rows_come_from_the_arrays(self, capsys, tmp_path, monkeypatch):
+        def per_row(*_):
+            raise AssertionError("per-row path taken")
+
+        monkeypatch.setattr(deployment.InterferenceReport, "source_pairs", property(per_row))
+        monkeypatch.setattr(deployment.InterferenceReport, "multi_fed_nodes", property(per_row))
+        monkeypatch.setattr(sweep_report, "_text_rows", per_row)
+        scenario = tmp_path / "overlap.scn"
+        scenario.write_text(
+            "field_width_m = 100\nfield_height_m = 40\nstrategy = explicit\n"
+            "sources = 40,20; 52,20\nr_rf_m = 8\nnode_count = 200\nnode_seed = 5\n"
+        )
+        code, out, err = run(
+            capsys, "interference", "--scenario", str(scenario), "--out", str(tmp_path / "o")
+        )
+        assert code == 0, err
+        rows = (tmp_path / "o" / "interference.csv").read_text().splitlines()
+        assert "pair,0,1,12" in rows
+        assert any(r.startswith("node,") and r.endswith(",,") for r in rows)
 
 
 class TestSweep:
