@@ -17,8 +17,7 @@ from dataclasses import fields
 from pathlib import Path
 
 from . import figures
-from .coverage import Strategy, required_power, source_count
-from .link_budget import max_range
+from .coverage import Strategy, required_power, source_count, source_count_from_range
 from .quantities import ValidationError
 from .scenario import RADIO_KEYS, Scenario, apply_overrides, load_scenario, parse_value
 from .sweep_report import SweepTable, write_csv, write_svg_plot
@@ -42,13 +41,18 @@ def _key_flags(parser: argparse.ArgumentParser, keys: str, **options: dict) -> N
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="wpsncov", description=__doc__.splitlines()[0])
-    # Each subcommand takes only the flags it reads; each parent adds to the one before.
-    radio = _Parser(add_help=False)
-    radio.add_argument("--scenario", type=Path, help="scenario file (key = value lines)")
-    _key_flags(radio, RADIO_KEYS, eirp_product_w={
+    # Each subcommand takes only the flags it reads, so power, which solves
+    # for the transmit power, takes neither of these; radio adds them to gains.
+    transmit = "p_t_w eirp_product_w"
+    gains = _Parser(add_help=False)
+    gains.add_argument("--scenario", type=Path, help="scenario file (key = value lines)")
+    _key_flags(gains, " ".join(k for k in RADIO_KEYS.split() if k not in transmit.split()))
+    radio = _Parser(add_help=False, parents=[gains])
+    _key_flags(radio, transmit, eirp_product_w={
         "help": "p_t*g_t*g_r folded into one value (gains become 1)"})
-    field = _Parser(add_help=False, parents=[radio])
-    field.add_argument("--area-m2", dest="field_area_m2")
+    area = _Parser(add_help=False)
+    area.add_argument("--area-m2", dest="field_area_m2")
+    field = _Parser(add_help=False, parents=[radio, area])
     output = _Parser(add_help=False, parents=[field])
     output.add_argument("--out", type=Path, default=Path("."), help="output directory")
     placement = _Parser(add_help=False, parents=[output])
@@ -59,9 +63,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = parser.add_subparsers(dest="command", required=True)
     for name, parent, run, text in (
-        ("range", radio, _cmd_range, "print the activation range in meters"),
+        ("range", radio, _cmd_range, "print a source's range (r_rf_m, else activation) in m"),
         ("sources", field, _cmd_sources, "print the required source count"),
-        ("power", field, _cmd_power, "print required transmit power"),
+        ("power", _Parser(add_help=False, parents=[gains, area]), _cmd_power,
+         "print required transmit power"),
         ("deploy", placement, _cmd_deploy, "write placement and coverage CSVs"),
         ("interference", placement, _cmd_interference, "write the interference report CSV"),
         ("sweep", output, _cmd_sweep, "write a figure dataset CSV"),
@@ -89,10 +94,7 @@ def _deployment(scenario: Scenario) -> tuple:
     """The scenario's deployment and its scattered nodes."""
     from . import deployment
 
-    field = scenario.event_field()
-    r_rf = scenario.r_rf_m
-    if r_rf is None:
-        r_rf = max_range(scenario.radio()).meters
+    field, r_rf = scenario.event_field(), scenario.source_range()
     strategy = scenario.value("strategy")
     if strategy is Strategy.EXPLICIT:
         dep = deployment.Deployment(field, scenario.sources, r_rf, strategy)
@@ -103,12 +105,16 @@ def _deployment(scenario: Scenario) -> tuple:
 
 
 def _cmd_range(args, scenario: Scenario) -> int:
-    print(repr(max_range(scenario.radio()).meters))
+    print(repr(scenario.source_range()))
     return 0
 
 
 def _cmd_sources(args, scenario: Scenario) -> int:
-    k = source_count(scenario.event_field(), scenario.radio())
+    field = scenario.event_field()
+    if scenario.r_rf_m is None:  # the closed form, which the anchors pin bit for bit
+        k = source_count(field, scenario.radio())
+    else:
+        k = source_count_from_range(field, scenario.r_rf_m)
     print(f"exact {k.exact!r}")
     print(f"required {k.required}")
     return 0

@@ -50,16 +50,25 @@ def _point_array(points, field: EventField, what: str) -> np.ndarray:
     return arr
 
 
+def _strategy(name: Strategy | str) -> Strategy:
+    try:
+        return Strategy(name)
+    except ValueError:
+        valid = ", ".join(s.value for s in Strategy)
+        raise ValidationError(f"strategy {name!r} is not one of {valid}") from None
+
+
 @dataclass(frozen=True, eq=False)
 class Deployment:
     field: EventField
     sources: np.ndarray  # (S, 2) float64, read-only
     r_rf: float  # m
-    strategy: Strategy
+    strategy: Strategy  # or its name, converted
 
     def __post_init__(self):
         object.__setattr__(self, "r_rf", _positive(self.r_rf, "source range [m]"))
         object.__setattr__(self, "sources", _point_array(self.sources, self.field, "source"))
+        object.__setattr__(self, "strategy", _strategy(self.strategy))
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,7 +128,7 @@ def place_sources(
     field: EventField, r_rf: float, strategy: Strategy | str
 ) -> Deployment:
     """Place non-overlapping source discs of radius r_rf on a grid."""
-    strategy = Strategy(strategy)
+    strategy = _strategy(strategy)
     r = _positive(r_rf, "source range [m]")
     if strategy is Strategy.EXPLICIT:
         raise ValidationError("explicit strategy requires a source list; use Deployment directly")

@@ -48,6 +48,7 @@ HAVE_COMPILED = False  # read by the benchmark (bench/child.py), which records i
 _CHUNK = 65536  # samples drawn per points_block call
 _CANDIDATES = 1 << 18  # (point, source) tests per block: bounds the temporaries
 _MAX_CELL_AXIS = 2048  # classification cells per axis: at most 2**22 cells in all
+_FIELD_PER_RADIUS = 256  # a map needs r > max(width, height) / this: see CellClasses
 _CELLS_PER_SAMPLE = 0.5  # map cells only where they are this few per point (sample or node)
 
 
@@ -241,8 +242,13 @@ class CellClasses:
     through the cell index, and for a count only those whose cell no
     source covers. So every answer is the brute-force one.
 
+    `code` (uint8) and `sole` lie on the grid padded by per_radius + 1
+    cells a side, and each class bit is ORed into `code` in place: one
+    `code[keys] |= bit` writes one value to every copy of a repeated key.
+
     Why the margins absorb the rounding: `_cells_per_radius` allows no
-    grid unless r > max(width, height) / 256. Rounding x * per_m to find a
+    grid unless r > max(width, height) / _FIELD_PER_RADIUS (256), whatever
+    the cells per radius or per axis. Rounding x * per_m to find a
     point's cell, c * side to place a corner, or the squared distances,
     moves a point, a corner or a distance by a few units of
     2**-53 max(width, height), under 1e-12 r. So a point looked up in a
@@ -259,39 +265,31 @@ class CellClasses:
         self.r_sq = self.index.r_sq
         self.per_m = per_m = per_radius / radius
         side = radius / per_radius
-        self.nx = nx = int(width * per_m) + 1
-        ny = int(height * per_m) + 1
+        nx, ny = int(width * per_m) + 1, int(height * per_m) + 1
         # cells within r(1 + 1e-9) of a source lie at most per_radius + 1
-        # cells from its own along each axis; stamping into a grid padded
-        # by that reach needs no bounds test
-        reach = per_radius + 1
+        # cells from its own along each axis, inside the padding: no bounds test
+        self.reach = reach = per_radius + 1
         offsets = np.arange(-reach, reach + 1)
-        stride = nx + 2 * reach
+        self.stride = stride = nx + 2 * reach
         index_type = np.int32 if x.size < 2**31 else np.int64
-        sole = np.full((ny + 2 * reach) * stride, -1, dtype=index_type)
-        covered = np.zeros(sole.size, dtype=bool)
-        many = np.zeros_like(covered)
+        self.sole = sole = np.full((ny + 2 * reach) * stride, -1, dtype=index_type)
+        self.code = code = np.zeros(sole.size, dtype=np.uint8)
         r_in, r_out = (radius * (1.0 - 1e-9)) ** 2, (radius * (1.0 + 1e-9)) ** 2
         block = max(1, _CANDIDATES // offsets.size**2)
         for lo in range(0, x.size, block):
             cx, far_x, near_x = self._spans(x[lo : lo + block], offsets, per_m, side)
             cy, far_y, near_y = self._spans(y[lo : lo + block], offsets, per_m, side)
             keys = (cy + reach)[:, :, None] * stride + (cx + reach)[:, None, :]
-            covered[keys[far_y[:, :, None] + far_x[:, None, :] <= r_in]] = True
+            code[keys[far_y[:, :, None] + far_x[:, None, :] <= r_in]] |= 2  # covered
             near = near_y[:, :, None] + near_x[:, None, :] <= r_out
             src = np.nonzero(near)[0] + lo
             keys = keys[near]
             # a cell is near two sources if an earlier block stamped it, or
             # if another source of this block wrote it last
-            many[keys[sole[keys] >= 0]] = True
+            code[keys[sole[keys] >= 0]] |= 4  # near two or more
             sole[keys] = src
-            many[keys[sole[keys] != src]] = True
-        # every covered cell is near its coverer, so it has a sole source
-        code = (sole >= 0).view(np.uint8)
-        code |= covered.view(np.uint8) << 1
-        code |= many.view(np.uint8) << 2
-        self.classes = code.reshape(-1, stride)[reach:-reach, reach:-reach].ravel()
-        self.sole = sole.reshape(-1, stride)[reach:-reach, reach:-reach].ravel()
+            code[keys[sole[keys] != src]] |= 4
+        code |= sole >= 0  # every covered cell is near its coverer, so it has a sole source
 
     @staticmethod
     def _spans(v, offsets, per_m, side):
@@ -309,9 +307,10 @@ class CellClasses:
         their indices into px and whether their sole source's disc holds
         them."""
         key = (py * self.per_m).astype(np.intp)
-        key *= self.nx
+        key *= self.stride
         key += (px * self.per_m).astype(np.intp)
-        code = self.classes[key]
+        key += self.reach * (self.stride + 1)  # the padding on both axes
+        code = self.code[key]
         one = np.flatnonzero(code == ONE)
         src = self.sole[key[one]]
         return key, code, one, _in_disc(px[one], py[one], self.x[src], self.y[src], self.r_sq)
@@ -348,8 +347,8 @@ def _cells_per_radius(count: int, width: float, height: float, radius: float) ->
     """Cells per radius, 16 down to 8, of the finest classification grid
     with at most count * _CELLS_PER_SAMPLE cells and _MAX_CELL_AXIS per
     axis; None, from scalars alone, where no such grid fits."""
-    if not radius * _MAX_CELL_AXIS > 8.0 * max(width, height):
-        return None  # also a zero or NaN radius
+    if not (radius * _FIELD_PER_RADIUS > max(width, height) and 2.0 * radius * radius < math.inf):
+        return None  # the rounding bound of CellClasses, or overflowing squares; or r 0 or NaN
     for per_radius in range(16, 7, -1):
         nx = int(width * (per_radius / radius)) + 1
         ny = int(height * (per_radius / radius)) + 1

@@ -21,7 +21,7 @@ import re
 from dataclasses import dataclass, field, fields, replace
 
 from .coverage import EventField, Strategy
-from .link_budget import RadioParams
+from .link_budget import RadioParams, max_range
 from .quantities import ValidationError, _db_to_ratio
 
 
@@ -145,6 +145,10 @@ class Scenario:
         for key in ("p_t_w", "g_t_dbi", "g_r_dbi"):
             kwargs[key] = self.value(key)
         return RadioParams.from_si(**kwargs)
+
+    def source_range(self) -> float:
+        """A source's range in m: r_rf_m, else the radio's activation range."""
+        return self.r_rf_m if self.r_rf_m is not None else max_range(self.radio()).meters
 
     def event_field(self) -> EventField:
         """Event field: width x height, else a square of field_area_m2."""

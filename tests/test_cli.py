@@ -18,6 +18,9 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 ANCHOR_SCENARIO = "eirp_product_w = 4\nf_hz = 2GHz\nv_min_v = 100mV\n"
+RANGE_SCENARIO = (  # deploy places 2 m discs here, and range and sources agree
+    "field_width_m = 10\nfield_height_m = 10\nstrategy = explicit\nsources = 5,5\nr_rf_m = 2\n"
+)
 DESIGN_SCENARIO = (
     "p_t_w = 1\ng_t_dbi = 8.5\ng_r_dbi = 8.5\nf_hz = 1GHz\n"
     "v_min_v = 100mV\nfield_area_m2 = 4e4\n"
@@ -67,6 +70,11 @@ class TestRange:
         assert code == 0
         assert float(out) == max_range(RadioParams.from_si(1.0, 8.5, 8.5, 1e9)).meters
 
+    def test_scenario_range(self, capsys, tmp_path):
+        path = tmp_path / "range.scn"
+        path.write_text(RANGE_SCENARIO)
+        assert run(capsys, "range", "--scenario", str(path)) == (0, "2.0\n", "")
+
 
 class TestSources:
     def test_design_point(self, capsys, design_file):
@@ -81,6 +89,12 @@ class TestSources:
         _, out, _ = run(capsys, "sources", "--scenario", str(design_file))
         expected = source_count(4e4, RadioParams.from_si(1.0, 8.5, 8.5, 1e9)).exact
         assert float(out.splitlines()[0].split()[1]) == expected
+
+    def test_scenario_range(self, capsys, tmp_path):
+        path = tmp_path / "range.scn"
+        path.write_text(RANGE_SCENARIO)
+        out = "exact 7.957747154594767\nrequired 8\n"  # 100 m^2 / (pi 2^2)
+        assert run(capsys, "sources", "--scenario", str(path)) == (0, out, "")
 
 
 class TestPower:
@@ -355,6 +369,8 @@ class TestErrorHandling:
             ["power", "--k", "6", "--strategy", "hex_grid"],
             ["power", "--k", "6", "--out", "o"],
             ["sweep", "--figure", "5", "--r-rf-m", "10"],
+            ["power", "--k", "6", "--p-t-w", "1"],  # the power it solves for
+            ["power", "--k", "6", "--eirp-product-w", "4"],
         ],
     )
     def test_flag_not_read_is_usage_error(self, capsys, argv):
@@ -416,13 +432,17 @@ class TestErrorHandling:
         assert f"# node_seed = {2**64 - 1}\n" in (tmp_path / "coverage.csv").read_text()
 
 
-def _deploy_flags():
-    """(flag, dest) of each scenario flag; deploy takes all of them."""
+def _command_actions(command):
     parser = cli.build_parser()
     (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return sub.choices[command]._actions
+
+
+def _deploy_flags():
+    """(flag, dest) of each scenario flag; deploy takes all of them."""
     return [
         (action.option_strings[0], action.dest)
-        for action in sub.choices["deploy"]._actions
+        for action in _command_actions("deploy")
         if action.dest not in ("help", "scenario", "out")
     ]
 
@@ -433,6 +453,36 @@ def test_scenario_flags_store_scenario_keys():
     flags = _deploy_flags()
     assert len(flags) == 13
     assert all(dest in keys for _, dest in flags)
+
+
+# two values of each parser kind that the scalar commands read
+KIND_VALUES = {
+    "power": ("1 W", "2 W"), "plain": ("8.5", "3"), "frequency": ("1 GHz", "2 GHz"),
+    "voltage": ("100 mV", "200 mV"), "resistance": ("50", "20"), "area": ("1e4", "2e4"),
+}
+SCALAR_COMMANDS = {"range": [], "sources": [], "power": ["--k", "6"]}
+
+
+def _scalar_flags():
+    """(command, flag, parser kind) of each scenario flag the scalar commands
+    take, read from the parser, so that a flag added later is covered too."""
+    kinds = {f.name: f.metadata["kind"] for f in fields(Scenario)}
+    return [
+        (command, action.option_strings[0], kinds[action.dest])
+        for command in SCALAR_COMMANDS
+        for action in _command_actions(command)
+        if action.dest in kinds
+    ]
+
+
+@pytest.mark.parametrize("command, flag, kind", _scalar_flags(), ids=lambda v: v.strip("-"))
+def test_every_scalar_flag_changes_output(capsys, command, flag, kind):
+    outputs = []
+    for value in KIND_VALUES[kind]:
+        code, out, err = run(capsys, command, *SCALAR_COMMANDS[command], flag, value)
+        assert code == 0, err
+        outputs.append(out)
+    assert outputs[0] != outputs[1]
 
 
 PARITY_TEXTS = (

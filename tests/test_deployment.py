@@ -584,6 +584,16 @@ class TestDeploymentValidation:
         with pytest.raises(ValidationError):
             Deployment(EventField(10.0, 10.0), ((5.0, 5.0),), 0.0, Strategy.EXPLICIT)
 
+    def test_strategy_name_becomes_a_strategy(self):
+        dep = Deployment(EventField(10.0, 10.0), ((5.0, 5.0),), 2.0, "explicit")
+        assert dep.strategy is Strategy.EXPLICIT
+        assert dep.strategy.value == "explicit"  # what the CLI writes into the CSV metadata
+
+    def test_unknown_strategy_lists_the_valid_ones(self):
+        valid = "square_grid, hex_grid, explicit"
+        with pytest.raises(ValidationError, match=f"'bogus' is not one of {valid}$"):
+            Deployment(EventField(10.0, 10.0), ((5.0, 5.0),), 2.0, "bogus")
+
 
 def _nodes_at(field, positions):
     from wpsn_coverage.deployment import NodeField

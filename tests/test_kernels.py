@@ -243,6 +243,35 @@ def test_classified_memory_bounded_on_many_nodes_geometry():
     ) < 32 * 2**20
 
 
+def test_cell_map_holds_two_cell_arrays():
+    """4,004,001 cells (r = 1.6 m on a 400 m field, 8 per radius): the
+    padded int32 `sole`, the uint8 `code` and one bool temporary peak at
+    ~25 MiB; a third bool array or copies out of the padding exceed 32."""
+    sx, sy = np.random.default_rng(5).uniform(0.0, 400.0, size=(2, 400))
+    assert kernels._cells_per_radius(10**7, 400.0, 400.0, 1.6) == 8
+    assert _traced_peak(lambda: kernels.CellClasses(sx, sy, 1.6, 400.0, 400.0, 8)) < 32 * 2**20
+
+
+@pytest.mark.parametrize("radius", [1.5, 0.0, math.nan])
+def test_rounding_bound_holds_whatever_the_axis_cap(monkeypatch, radius):
+    """The map's rounding argument needs r > max(width, height) / 256 (1.5625
+    m here), whatever the cells per axis; a zero or NaN radius gets no map."""
+    monkeypatch.setattr(kernels, "_MAX_CELL_AXIS", 10**6)
+    assert kernels._cells_per_radius(10**8, 400.0, 400.0, radius) is None
+    assert kernels._cells_per_radius(10**8, 400.0, 400.0, 1.6) == 16
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")  # the index squares to inf
+@pytest.mark.parametrize("side", [1e155, 1e307, 1e308])
+def test_no_map_where_squared_distances_overflow(side):
+    """One source of range `side` on a side x side field: the map would
+    square distances past the largest float (a Python float ** 2 raises
+    OverflowError), so the cell index answers, as the brute force does."""
+    assert kernels._cells_per_radius(1000, side, side, side) is None
+    expected = reference_covered_count(1, 0, 1000, side, side, [1.0], [1.0], side)
+    assert covered_count(1, 0, 1000, side, side, [1.0], [1.0], side) == expected
+
+
 def test_membership_memory_bounded_by_nodes_not_depth():
     """10^5 nodes under 160 coincident discs: a list of (node, disc)
     pairs would hold 1.6 * 10^7 entries (a 488 MiB peak as sparse rows)."""
@@ -370,8 +399,8 @@ def test_classified_count_on_cell_corners_and_circles(radius, per_radius):
     assert counter.count([(px[:100], py[:100]), (px[100:], py[100:])]) == sum(expected)
     first, fed = counter.membership(px, py)
     assert (first.tolist(), fed.tolist()) == reference_first_fed(sources, points, radius)
-    key = (py * counter.per_m).astype(np.intp) * counter.nx + (px * counter.per_m).astype(np.intp)
-    assert set(counter.classes[key].tolist()) == {
+    _, code, _, _ = counter._lookup(px, py)
+    assert set(code.tolist()) == {
         kernels.EMPTY, kernels.ONE, kernels.COVERED, kernels.MANY, kernels.MANY_COVERED
     }
 

@@ -5,6 +5,7 @@ import pytest
 
 from wpsn_coverage import cli, figures
 from wpsn_coverage.deployment import Strategy
+from wpsn_coverage.link_budget import max_range
 from wpsn_coverage.scenario import (
     ConstraintError,
     Scenario,
@@ -195,6 +196,11 @@ class TestOverrides:
         s = apply_overrides(parse_scenario("r_rf_m = 10\n"), f_hz=2e9)
         assert s.r_rf_m is None
         assert s.radio().f.hertz == 2e9
+
+    def test_source_range_is_r_rf_m_else_the_radio_range(self):
+        assert parse_scenario("r_rf_m = 2\n").source_range() == 2.0
+        s = parse_scenario(DESIGN_DOC)
+        assert s.source_range() == max_range(s.radio()).meters
 
     def test_area_override_displaces_rectangle(self):
         s = parse_scenario("field_width_m = 100\nfield_height_m = 50\n")
