@@ -175,8 +175,9 @@ def scatter_nodes(field: EventField, n: int, seed: int) -> NodeField:
         raise ValidationError(f"node count must be >= 0, got {n}")
     if n > MAX_NODES:
         raise ValidationError(f"node count must be <= {MAX_NODES}, got {n}")
-    xs, ys = kernels.points_block(seed, 0, n, field.width, field.height)
-    return NodeField(field=field, positions=np.column_stack((xs, ys)), seed=seed)
+    # xs and ys die once stacked, before NodeField copies the stack
+    positions = np.column_stack(kernels.points_block(seed, 0, n, field.width, field.height))
+    return NodeField(field=field, positions=positions, seed=seed)
 
 
 def _membership(dep: Deployment, nodes: NodeField) -> tuple[np.ndarray, np.ndarray]:

@@ -333,13 +333,19 @@ class CellClasses:
 
     def membership(self, px: np.ndarray, py: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Per point: the lowest index of a source within the radius (-1
-        if none) and the number of such sources."""
-        key, code, one, hit = self._lookup(px, py)
-        first = self.sole[key].astype(np.int64)  # -1 in empty cells
-        first[one[~hit]] = -1
-        fed = (first >= 0).astype(np.int64)
-        many = np.flatnonzero(code >= MANY)
-        first[many], fed[many] = self.index.membership(px[many], py[many])
+        if none) and the number of such sources. Points go _CHUNK at a
+        time, so only the two results are per-point arrays."""
+        first = np.empty(len(px), dtype=np.int64)
+        fed = np.empty(len(px), dtype=np.int64)
+        for lo in range(0, len(px), _CHUNK):
+            x, y = px[lo : lo + _CHUNK], py[lo : lo + _CHUNK]
+            key, code, one, hit = self._lookup(x, y)
+            low, count = first[lo : lo + _CHUNK], fed[lo : lo + _CHUNK]  # views into the results
+            low[:] = self.sole[key]  # -1 in empty cells
+            low[one[~hit]] = -1
+            np.greater_equal(low, 0, out=count)
+            many = np.flatnonzero(code >= MANY)
+            low[many], count[many] = self.index.membership(x[many], y[many])
         return first, fed
 
 

@@ -1,6 +1,7 @@
 import argparse
 import math
 import shlex
+import threading
 from dataclasses import fields
 from pathlib import Path
 
@@ -138,6 +139,21 @@ class TestDeploy:
                 + (out_dir / "coverage.csv").read_bytes()
             )
         assert outs[0] == outs[1]
+
+    @pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+    def test_write_failing_partway_is_io_error(self, capsys, monkeypatch, tmp_path):
+        """2,000 nodes in blocks of 16 rows: coverage.csv takes two threads,
+        and the write that flushes its first 8 KiB fails (ENOSPC)."""
+        (tmp_path / "coverage.csv").symlink_to("/dev/full")
+        monkeypatch.setattr(sweep_report, "_BLOCK", 16)
+        monkeypatch.setattr(sweep_report.os, "cpu_count", lambda: 2)
+        before = threading.active_count()
+        code, out, err = run(capsys, "deploy", "--nodes", "2000", "--out", str(tmp_path))
+        assert code == 2
+        assert out == ""
+        assert err == (f"I/O error: cannot write CSV to {tmp_path / 'coverage.csv'}: "
+                       "[Errno 28] No space left on device\n")
+        assert threading.active_count() == before
 
     def test_no_nodes(self, capsys, tmp_path):
         code, out, err = run(capsys, "deploy", "--nodes", "0", "--out", str(tmp_path))

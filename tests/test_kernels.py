@@ -285,6 +285,21 @@ def test_membership_memory_bounded_by_nodes_not_depth():
     assert reports[0].first_source.tolist() == [0] * 10**5
 
 
+def test_classified_membership_holds_only_its_results_per_node():
+    """5 * 10^5 nodes over the 429 hex-grid discs of the many_nodes
+    geometry: the two int64 results take 7.6 MiB. Taking every node at
+    once held per-node cell keys, codes and scaled coordinates beside
+    them, a 16 MiB peak; a chunk at a time holds ~2 MiB more."""
+    dep = place_sources(EventField(400.0, 400.0), 10.0, Strategy.HEX_GRID)
+    cells = kernels.CellClasses(*dep.sources.T, 10.0, 400.0, 400.0, 16)
+    px, py = np.random.default_rng(4).uniform(0.0, 400.0, size=(2, 5 * 10**5))
+    results = []
+    assert _traced_peak(lambda: results.append(cells.membership(px, py))) < 11 * 2**20
+    first, fed = results[0]
+    assert first.dtype == fed.dtype == np.int64
+    assert np.count_nonzero(fed) == np.count_nonzero(first >= 0) > 0
+
+
 @pytest.mark.parametrize("samples, radius", [(10**6, 1e-3), (4096, 2.0)])
 def test_fallback_allocates_no_cells(monkeypatch, samples, radius):
     """r = 1e-3 would need ~10^13 cells on a 400 m field, and 4,096
@@ -353,6 +368,7 @@ def test_membership_equals_brute_force_on_grid_and_fallback(case, candidates):
     px, py = node_field.positions.T
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(kernels, "_CANDIDATES", candidates)
+        patch.setattr(kernels, "_CHUNK", 7)  # the map takes nodes a chunk at a time
         first, fed = kernels.CellIndex(sx, sy, radius, width, height).membership(px, py)
         assert (first.tolist(), fed.tolist()) == expected
         per_radius = kernels._cells_per_radius(2 * 10**5, width, height, radius)

@@ -1,5 +1,9 @@
+import errno
+import io
 import math
+import os
 import random
+import threading
 import tracemalloc
 
 import numpy as np
@@ -305,9 +309,98 @@ def test_block_boundaries_do_not_change_bytes(monkeypatch, n):
     assert expected[0] == _reference_csv(tables[0])
 
 
-def test_write_csv_memory_is_bounded_by_the_block(tmp_path):
+def _interference_shaped(pairs, nodes):
+    """interference.csv's layout: pair rows, then node rows whose j and
+    distance_m cells are masked."""
+    rng = np.random.default_rng(1)
+    node = np.arange(pairs + nodes) >= pairs
+    return SweepTable(
+        columns=("kind", "i", "j", "distance_m"),
+        data=(np.where(node, b"node", b"pair"), rng.integers(0, 10**4, pairs + nodes),
+              np.ma.array(rng.integers(0, 10**4, pairs + nodes), mask=node),
+              np.ma.array(rng.random(pairs + nodes) * 20.0, mask=node)),
+        metadata={"r_rf_m": 2.0, "strategy": "explicit"},
+    )
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 8])
+def test_bytes_do_not_depend_on_threads(monkeypatch, cpus):
+    """Blocks of 7 rows: 29 and 28 blocks, above the serial limit, so two
+    threads format them wherever there are two cores, ending on a block
+    of the calling thread and on one of the worker."""
+    tables = [_deploy_shaped(200), _interference_shaped(120, 76)]
+    expected = [render_csv(t) for t in tables]  # at full blocks: serial
+    threaded = []
+
+    def spy(rows, blocks):
+        threaded.append(True)
+        return real(rows, blocks)
+
+    real = sweep_report._on_two_threads
+    monkeypatch.setattr(sweep_report, "_on_two_threads", spy)
+    monkeypatch.setattr(sweep_report, "_BLOCK", 7)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    assert [render_csv(t) for t in tables] == expected
+    assert len(threaded) == (2 if cpus > 1 else 0)
+
+
+@pytest.mark.parametrize("where", ["worker", "caller"])
+def test_a_failing_block_raises_and_stops_the_worker(monkeypatch, where):
+    real = byte_columns.rows_bytes
+    calls = {"worker": 0, "caller": 0}
+
+    def rows(columns):
+        thread = "caller" if threading.current_thread() is threading.main_thread() else "worker"
+        calls[thread] += 1
+        if thread == where and calls[thread] == 3:
+            raise ArithmeticError(f"{where} block")
+        return real(columns)
+
+    monkeypatch.setattr(byte_columns, "rows_bytes", rows)
+    monkeypatch.setattr(sweep_report, "_BLOCK", 7)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    before = threading.active_count()
+    with pytest.raises(ArithmeticError, match=f"{where} block"):
+        render_csv(_deploy_shaped(200))
+    assert threading.active_count() == before
+    assert calls["worker"] <= 5  # stopped, not run to the end of 29 blocks
+
+
+class _FillsUp(io.RawIOBase):
+    """A file whose writes fail once `room` bytes are in."""
+
+    def __init__(self, room):
+        self.room, self.written = room, 0
+
+    def writable(self):
+        return True
+
+    def write(self, data):
+        if self.written >= self.room:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        self.written += len(data)
+        return len(data)
+
+
+def test_a_failed_write_stops_the_worker_before_it_raises(monkeypatch):
+    file = _FillsUp(10_000)
+    monkeypatch.setattr(sweep_report, "open", lambda path, mode: file, raising=False)
+    monkeypatch.setattr(sweep_report, "_BLOCK", 7)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    before = threading.active_count()
+    with pytest.raises(OSError, match="^cannot write CSV to c.csv: .*No space left") as failure:
+        write_csv(_deploy_shaped(2000), "c.csv")
+    # the traceback `failure` keeps holds the writer's frames
+    assert threading.active_count() == before, failure
+    assert file.written < 2000 * 30
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 8, 64])
+def test_write_csv_memory_is_bounded_by_the_block(monkeypatch, tmp_path, cpus):
     # 2e5 rows: held as row tuples the same cells take ~46 MB, and the
-    # row-by-row writer peaks at ~87 MB on top of them
+    # row-by-row writer peaks at ~87 MB on top of them; two threads hold
+    # two blocks' temporaries, whatever the core count
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     table = _deploy_shaped(200_000)
     tracemalloc.start()
     try:
