@@ -6,8 +6,8 @@ concrete grid placements with interference checks, and the parameter
 sweeps behind the report figures.
 
 Public names load their module on first use (PEP 562), so the scalar
-commands never import numpy: only the array layer (`kernels`,
-`deployment`) and the log grids of figures 5 and 6 need it.
+commands and the figure sweeps never import numpy: only the array layer
+(`kernels`, `deployment`) needs it.
 """
 
 import importlib

@@ -149,8 +149,9 @@ def _cmd_deploy(args, scenario: Scenario) -> int:
     write_csv(placement, args.out / "placement.csv")
     coverage = SweepTable(
         columns=("node", "x_m", "y_m", "covered", "first_source"),
-        data=(np.arange(report.total_count), *nodes.positions.T, report.fed_by != 0,
-              report.first_source),
+        # int32 ids (below MAX_NODES): the writer widens one block at a time
+        data=(np.arange(report.total_count, dtype=np.int32), *nodes.positions.T,
+              report.fed_by != 0, report.first_source),
         metadata={**meta, "covered_count": report.covered_count, "total_count": report.total_count},
     )
     write_csv(coverage, args.out / "coverage.csv")

@@ -11,7 +11,6 @@ onto the grid).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -22,6 +21,27 @@ from .sweep_report import PlotOptions, SweepTable, linspace
 
 FREQUENCY_SERIES_HZ = (5.0e8, 1.0e9, 2.0e9)
 _POINTS = 50  # grid points per figure axis, before the forced values
+
+# The log grid of figures 5 and 6 (every `log` figure): 0.1..10 W at
+# _POINTS points, as pinned data. These are the values numpy's AVX-512
+# `logspace(-1, 1, 50)` gives. At indices 38 and 44 its `power` rounds one
+# ulp away from the correctly rounded 10**y, and the pinned figure bytes
+# carry those two values; other CPUs and libms round them differently, so
+# the grid is not computed.
+_LOG_GRID = (
+    0.1, 0.10985411419875583, 0.12067926406393285, 0.13257113655901093, 0.14563484775012436,
+    0.15998587196060582, 0.1757510624854792, 0.193069772888325, 0.21209508879201905,
+    0.2329951810515372, 0.2559547922699536, 0.281176869797423, 0.3088843596477481,
+    0.3393221771895328, 0.372759372031494, 0.4094915062380424, 0.44984326689694454,
+    0.49417133613238345, 0.5428675439323859, 0.5963623316594643, 0.6551285568595507,
+    0.7196856730011519, 0.7906043210907697, 0.8685113737513525, 0.9540954763499939,
+    1.0481131341546859, 1.151395399326447, 1.2648552168552958, 1.3894954943731375,
+    1.5264179671752334, 1.6768329368110073, 1.8420699693267153, 2.0235896477251565,
+    2.2229964825261943, 2.442053094548651, 2.6826957952797246, 2.9470517025518097,
+    3.2374575428176433, 3.5564803062231283, 3.9069399370546147, 4.291934260128776,
+    4.714866363457392, 5.17947467923121, 5.689866029018296, 6.250551925273969,
+    6.866488450042998, 7.543120063354615, 8.286427728546842, 9.102981779915218, 10.0,
+)
 
 
 @dataclass(frozen=True)
@@ -38,13 +58,7 @@ class _Figure:
     title: str  # the SVG plot's; its axes and series follow from columns
 
     def grid(self) -> list[float]:
-        if self.log:
-            # np.logspace, not 10.0**y: the figure 5/6 bytes follow its rounding
-            import numpy as np
-
-            grid = np.logspace(math.log10(self.start), math.log10(self.stop), _POINTS).tolist()
-        else:
-            grid = linspace(self.start, self.stop, _POINTS)
+        grid = _LOG_GRID if self.log else linspace(self.start, self.stop, _POINTS)
         values = set(grid)
         values.update(v for v in self.include if self.start <= v <= self.stop)
         return sorted(values)

@@ -107,6 +107,10 @@ class TestPlaceSources:
         with pytest.raises(ValidationError):
             place_sources(EventField(5.0, 5.0), 3.0, Strategy.SQUARE_GRID)
 
+    def test_explicit_strategy_rejected(self):
+        with pytest.raises(ValidationError, match="explicit strategy requires a source list"):
+            place_sources(EventField(50.0, 50.0), 10.0, "explicit")
+
     def test_strategy_accepts_strings(self):
         dep = place_sources(EventField(50.0, 50.0), 10.0, "hex_grid")
         assert dep.strategy is Strategy.HEX_GRID
@@ -388,6 +392,11 @@ class TestMonteCarloCoverage:
         sequential = monte_carlo_coverage(dep, 10**5 + 7, seed=13, workers=1)
         parallel = monte_carlo_coverage(dep, 10**5 + 7, seed=13, workers=4)
         assert sequential == parallel
+
+    def test_rejects_samples_below_one(self):
+        dep = Deployment(EventField(20.0, 20.0), ((10.0, 10.0),), 5.0, Strategy.EXPLICIT)
+        with pytest.raises(ValidationError, match="sample count must be >= 1, got 0"):
+            monte_carlo_coverage(dep, 0, 1)
 
     @pytest.mark.parametrize("workers", [0, -3])
     def test_rejects_workers_below_one(self, workers):

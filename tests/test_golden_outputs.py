@@ -142,5 +142,4 @@ def test_log_figure_bytes_without_avx512(tmp_path, figure):
         hashlib.sha256((tmp_path / f"figure{figure}.{ext}").read_bytes()).hexdigest()
         for ext in ("csv", "svg")
     )
-    if digests != FIGURE_GOLDEN["default"][figure]:
-        pytest.xfail("ROADMAP item 1: np.logspace rounds differently without AVX-512")
+    assert digests == FIGURE_GOLDEN["default"][figure]

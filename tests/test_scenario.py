@@ -56,6 +56,11 @@ class TestParseMagnitude:
         with pytest.raises(UnitError):
             parse_magnitude("fast", "frequency", "f_hz")
 
+    def test_bad_number(self):
+        # the pattern admits any run of digits and dots; float() rejects this one
+        with pytest.raises(UnitError, match=r"^p_t_w: bad number '1\.2\.3'$"):
+            parse_scenario("p_t_w = 1.2.3\n")
+
 
 class TestParseScenario:
     def test_design_document(self):
@@ -104,6 +109,18 @@ class TestParseScenario:
         s = parse_scenario("strategy = explicit\nsources = 10,20; 30.5,40\n")
         assert s.strategy is Strategy.EXPLICIT
         assert s.sources == ((10.0, 20.0), (30.5, 40.0))
+
+    def test_explicit_sources_skip_empty_chunks(self):
+        s = parse_scenario("strategy = explicit\nsources = 1,2;;3,4;\n")
+        assert s.sources == ((1.0, 2.0), (3.0, 4.0))
+
+    @pytest.mark.parametrize("raw, message", [
+        ("1,2,3", "expected 'x,y' pairs separated by ';', got '1,2,3'"),
+        ("a,b", "bad coordinate in 'a,b'"),
+    ])
+    def test_explicit_sources_rejected(self, raw, message):
+        with pytest.raises(UnitError, match=f"^sources: {re.escape(message)}$"):
+            parse_scenario(f"strategy = explicit\nsources = {raw}\n")
 
     def test_sweep_block(self):
         # the figure grids are fixed; a sweep key is rejected, not ignored

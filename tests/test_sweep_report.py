@@ -1,8 +1,10 @@
+import decimal
 import errno
 import io
 import math
 import os
 import random
+import re
 import threading
 import tracemalloc
 
@@ -42,6 +44,24 @@ class TestGrid:
         powers = [row[0] for row in table.rows]
         assert 1.0 in powers and 4.0 in powers
         assert powers == sorted(powers)
+
+    def test_log_grid_is_10_to_the_y_within_one_ulp(self):
+        # the pinned table against 10**y correctly rounded at 60 digits:
+        # no numpy, no libm, so the same check on every CPU
+        grid = figures._LOG_GRID
+        assert len(grid) == figures._POINTS == 50
+        assert (grid[0], grid[-1]) == (0.1, 10.0)
+        assert all(a < b for a, b in zip(grid, grid[1:]))
+        with decimal.localcontext() as ctx:
+            ctx.prec = 60
+            ten = decimal.Decimal(10)
+            exact = [float(ten ** decimal.Decimal(y)) for y in linspace(-1.0, 1.0, 50)]
+        assert all(abs(v - e) <= math.ulp(e) for v, e in zip(grid, exact))
+        assert [i for i, (v, e) in enumerate(zip(grid, exact)) if v != e] == [38, 44]
+
+    def test_unknown_figure_rejected(self):
+        with pytest.raises(ValidationError, match=r"one of \(4, 5, 6, 7, 8\), got 3$"):
+            figures.figure_table(3, DESIGN_RADIO, FIELD)
 
 
 class TestVoltageVsPower:
@@ -447,8 +467,6 @@ class TestSvg:
         svg = render_svg(table, self.options(log_x=True))
         assert svg.startswith("<svg")
         # decade ticks at 0.1, 1, 10 must be evenly spaced
-        import re
-
         ticks = [
             float(m.group(1))
             for m in re.finditer(r'<line x1="([0-9.]+)" y1="540" x2="\1" y2="545"', svg)
@@ -464,6 +482,20 @@ class TestSvg:
         empty = SweepTable(columns=("x", "y"), data=((), ()))
         with pytest.raises(ValidationError):
             render_svg(empty, PlotOptions(x_col="x", y_col="y"))
+
+    def test_log_x_rejects_x_not_positive(self):
+        table = SweepTable(columns=("x", "y"), data=((0.0, 1.0, 10.0), (1.0, 2.0, 3.0)))
+        with pytest.raises(ValidationError, match="log x scale requires positive x values"):
+            render_svg(table, PlotOptions(x_col="x", y_col="y", log_x=True))
+
+    def test_constant_y_widened_around_the_value(self):
+        # y in [4, 6]: the line runs at mid height, between ticks 4 and 6
+        table = SweepTable(columns=("x", "y"), data=((1.0, 2.0, 3.0), (5.0, 5.0, 5.0)))
+        svg = render_svg(table, PlotOptions(x_col="x", y_col="y"))
+        points = re.search(r'<polyline points="([^"]*)"', svg).group(1).split()
+        assert {p.split(",")[1] for p in points} == {"295.00"}
+        labels = re.findall(r'text-anchor="end" font-size="11">([^<]*)<', svg)
+        assert labels == ["4", "4.5", "5", "5.5", "6"]
 
     def test_viewbox_default(self, table):
         svg = render_svg(table, self.options())
