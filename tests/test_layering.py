@@ -40,8 +40,12 @@ def _command_loads(module, argv):
         (["range"], False),
         (["sources"], False),
         (["power", "--k", "6"], False),
-        *((["sweep", "--figure", str(n), "--svg"], False) for n in range(4, 9)),
+        (["sweep", "--figure", "4", "--svg"], False),
+        (["sweep", "--figure", "7", "--svg"], False),
+        (["sweep", "--figure", "8", "--svg"], False),
+        (["sweep", "--figure", "5"], False),  # log grid is a pinned table, not np.logspace
         (["deploy", "--nodes", "50"], True),
+        (["sweep", "--figure", "6", "--svg"], False),
     ],
 )
 def test_only_array_commands_import_numpy(tmp_path, argv, loads_numpy):
