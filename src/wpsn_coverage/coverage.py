@@ -19,6 +19,7 @@ from .quantities import (
     Power,
     ValidationError,
     _Quantity,
+    _integer,
     _positive,
 )
 from .link_budget import RadioParams, max_range
@@ -58,6 +59,15 @@ class Strategy(str, Enum):
     EXPLICIT = "explicit"
 
 
+def _strategy(name: Strategy | str, error=ValidationError, prefix: str = "strategy ") -> Strategy:
+    """The `Strategy` named `name`, or `error` saying that it names none of them."""
+    try:
+        return Strategy(name)
+    except ValueError:
+        valid = ", ".join(s.value for s in Strategy)
+        raise error(f"{prefix}{name!r} is not one of {valid}") from None
+
+
 @dataclass(frozen=True)
 class SourceCount(_Quantity, label="source count"):
     """Analytic source count; `required` is the integer a deployment needs."""
@@ -74,6 +84,7 @@ def _area_m2(area: Area | EventField | float) -> float:
 
 
 def _source_count_arg(k: int) -> float:
+    k = _integer(k, "source count")
     if k < 1:
         raise ValidationError(f"source count must be >= 1, got {k}")
     try:

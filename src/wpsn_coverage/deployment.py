@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .coverage import EventField, Strategy
+from .coverage import EventField, Strategy, _strategy
 from .quantities import ValidationError, _integer, _positive
 
 # Most sources place_sources lays on a grid. The count follows the user's
@@ -48,14 +48,6 @@ def _point_array(points, field: EventField, what: str) -> np.ndarray:
         )
     arr.flags.writeable = False
     return arr
-
-
-def _strategy(name: Strategy | str) -> Strategy:
-    try:
-        return Strategy(name)
-    except ValueError:
-        valid = ", ".join(s.value for s in Strategy)
-        raise ValidationError(f"strategy {name!r} is not one of {valid}") from None
 
 
 @dataclass(frozen=True, eq=False)

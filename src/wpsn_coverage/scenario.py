@@ -20,7 +20,7 @@ import math
 import re
 from dataclasses import dataclass, field, fields, replace
 
-from .coverage import EventField, Strategy
+from .coverage import EventField, Strategy, _strategy
 from .link_budget import RadioParams, max_range
 from .quantities import ValidationError, _db_to_ratio
 
@@ -196,11 +196,7 @@ def parse_value(key: str, raw: str):
     if kind == "points":
         return _parse_points(raw, key)
     if kind == "strategy":
-        try:
-            return Strategy(raw.strip())
-        except ValueError:
-            valid = ", ".join(e.value for e in Strategy)
-            raise UnitError(f"{key}: {raw.strip()!r} is not one of {valid}") from None
+        return _strategy(raw.strip(), UnitError, f"{key}: ")
     value = parse_magnitude(raw, kind, key)
     if not math.isfinite(value):
         raise UnitError(f"{key}: value must be finite")

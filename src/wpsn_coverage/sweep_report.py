@@ -10,9 +10,10 @@ matrices of `byte_columns` a block of rows at a time, others cell by cell.
 A byte-matrix table of more than `_SERIAL_BLOCKS` blocks is formatted on
 two threads: the calling thread formats the even blocks and one worker
 thread the odd ones (numpy releases the interpreter lock in its loops),
-and the blocks are written in order. At most three blocks are formatted
-and not yet written, whatever the table's length or the core count, so
-the writer's memory stays bounded by the block.
+a pair of blocks at a time, and the blocks are written in order. At
+most two blocks are formatted and not yet written, whatever the table's
+length or the core count, so the writer's memory stays bounded by the
+block.
 """
 
 from __future__ import annotations
@@ -24,9 +25,10 @@ from dataclasses import dataclass, field as dc_field
 from .quantities import ValidationError
 
 _BLOCK = 1 << 14  # rows formatted and written at a time: bounds the writer's memory
-# byte-matrix tables of more blocks take two threads: 131,072 rows, far
-# above every design-point table and the 37,631-line interference.csv of
-# ~12,600 overlapping sources, which keep one
+# byte-matrix tables of more blocks take two threads, a pair of blocks at
+# a time: 131,072 rows, far above every design-point table and the
+# 37,631-line interference.csv of ~12,600 overlapping sources, which keep
+# one
 _SERIAL_BLOCKS = 8
 
 
@@ -78,34 +80,28 @@ def _csv_blocks(table: SweepTable):
 
 
 def _on_two_threads(rows, blocks):
-    """rows(block) of each block, in order: one worker thread formats the
-    odd blocks while this thread formats the even ones and yields.
+    """rows(block) of each block, in order, a pair at a time: one worker
+    thread formats each odd block while this thread formats the even
+    block before it and yields it, then the odd block's bytes are yielded.
 
-    The worker is handed block 2p + 1 before this thread formats block
-    2p, and block 2p - 1's bytes are yielded only after block 2p's are
-    made, so the worker stays busy while this thread writes. At most two
-    blocks wait on the worker, and three are formatted but not yet
-    yielded. However the generator ends (exhausted, closed, or raising,
-    here or in the worker), the worker is stopped and joined.
+    At most two blocks are formatted and not yet written. The trade: the
+    worker idles while the odd block is written, so on storage slower
+    than formatting a worker kept one block ahead would hide more of the
+    formatting behind the writes, for a third block held. No benchmark
+    workload measures that case. However the generator ends (exhausted,
+    closed, or raising, here or in the worker), leaving the `with` joins
+    the worker, which finishes at most the one block it holds.
     """
     from concurrent.futures import ThreadPoolExecutor
 
-    pool = ThreadPoolExecutor(max_workers=1)
-    try:
-        blocks = iter(blocks)
-        pending = None  # the future of the odd block before `even`
+    blocks = iter(blocks)
+    with ThreadPoolExecutor(max_workers=1) as pool:
         for even in blocks:
             odd = next(blocks, None)
-            submitted = pool.submit(rows, odd) if odd is not None else None
-            text = rows(even)
-            if pending is not None:
-                yield pending.result()
-            yield text
-            pending = submitted
-        if pending is not None:
-            yield pending.result()
-    finally:
-        pool.shutdown(cancel_futures=True)
+            future = pool.submit(rows, odd) if odd is not None else None
+            yield rows(even)
+            if future is not None:
+                yield future.result()
 
 
 def render_csv(table: SweepTable) -> str:

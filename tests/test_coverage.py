@@ -1,6 +1,7 @@
 import math
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -16,6 +17,8 @@ from wpsn_coverage.link_budget import RadioParams, max_range
 from wpsn_coverage.quantities import ValidationError
 
 from test_link_budget import radio_strategy
+
+_NOT_AN_INTEGER = "^source count must be an integer, got {}$"
 
 
 @pytest.fixture
@@ -189,6 +192,14 @@ class TestRequiredPower:
         with pytest.raises(ValidationError, match="overflows a float"):
             required_power(4e4, 10**400, design_radio)
 
+    @pytest.mark.parametrize("k", ["x", None, 2.5, 6.0])
+    def test_rejects_k_that_is_not_an_integer(self, design_radio, k):
+        with pytest.raises(ValidationError, match=_NOT_AN_INTEGER.format(re.escape(repr(k)))):
+            required_power(4e4, k, design_radio)
+
+    def test_takes_numpy_integer_k(self, design_radio):
+        assert required_power(4e4, np.int64(6), design_radio) == required_power(4e4, 6, design_radio)
+
 
 class TestMaxArea:
     def test_single_source(self, design_radio):
@@ -213,6 +224,14 @@ class TestMaxArea:
     def test_rejects_k_beyond_float_range(self, design_radio):
         with pytest.raises(ValidationError, match="overflows a float"):
             max_area(10**400, design_radio)
+
+    @pytest.mark.parametrize("k", ["x", None, 2.5, 6.0])
+    def test_rejects_k_that_is_not_an_integer(self, design_radio, k):
+        with pytest.raises(ValidationError, match=_NOT_AN_INTEGER.format(re.escape(repr(k)))):
+            max_area(k, design_radio)
+
+    def test_takes_numpy_integer_k(self, design_radio):
+        assert max_area(np.uint8(5), design_radio) == max_area(5, design_radio)
 
 
 class TestMonotonicity:

@@ -11,7 +11,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from wpsn_coverage import kernels
 from wpsn_coverage.coverage import EventField
@@ -110,7 +110,7 @@ def placements(draw):
         if kind == "cell":
             step = radius * draw(st.sampled_from([1.0, 1.0 + 1e-6, 2.0]))
         else:  # a corner of the grid of side r / per_radius
-            step = radius / draw(st.integers(8, 16))
+            step = radius / draw(st.integers(2, 16))
         return (min(width, step * draw(st.integers(0, 40))),
                 min(height, step * draw(st.integers(0, 40))))
 
@@ -378,6 +378,27 @@ def test_membership_equals_brute_force_on_grid_and_fallback(case, candidates):
             assert (first.tolist(), fed.tolist()) == expected
         report = coverage_report(dep, node_field)
         assert (report.first_source.tolist(), report.fed_by.tolist()) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(placements())
+def test_cell_map_equals_brute_force_at_every_grid_size(case):
+    """Every grid from 2 to 16 cells per radius that the rounding bound
+    allows, not only the one `_cells_per_radius` picks: the count over
+    two chunks and the membership equal the brute-force ones."""
+    width, height, radius, sources, nodes = case
+    assume(radius * kernels._FIELD_PER_RADIUS > max(width, height))
+    dep = Deployment(EventField(width, height), sources, radius, Strategy.EXPLICIT)
+    sx, sy = dep.sources.T
+    px, py = np.array(nodes, dtype=np.float64).reshape(-1, 2).T
+    expected = reference_first_fed(dep.sources.tolist(), nodes, radius)
+    inside = sum(first >= 0 for first in expected[0])
+    half = len(nodes) // 2
+    for per_radius in range(2, 17):
+        cells = kernels.CellClasses(sx, sy, radius, width, height, per_radius)
+        assert cells.count([(px[:half], py[:half]), (px[half:], py[half:])]) == inside, per_radius
+        first, fed = cells.membership(px, py)
+        assert (first.tolist(), fed.tolist()) == expected, per_radius
 
 
 @pytest.mark.parametrize("radius", [5.0, 47.8])

@@ -172,6 +172,14 @@ def test_load_scenario_error_names_the_file(tmp_path, text, error):
     assert str(info.value).startswith(f"{path}: ")
 
 
+def test_unknown_strategy_names_the_file_and_the_key(tmp_path):
+    path = tmp_path / "f.scn"
+    path.write_text("strategy =  bogus \n")
+    message = "strategy: 'bogus' is not one of square_grid, hex_grid, explicit"
+    with pytest.raises(UnitError, match=f"^{re.escape(f'{path}: {message}')}$"):
+        load_scenario(path)
+
+
 def test_overflowing_dbm_value_names_the_file(tmp_path):
     path = tmp_path / "f.scn"
     path.write_text("p_t_w = 4000 dBm\n")
