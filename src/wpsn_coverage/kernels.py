@@ -2,7 +2,12 @@
 
 The generator is counter-based (splitmix64 finalizer over seed +
 counter), so any contiguous block of sample indices can be evaluated
-independently and merged without changing the result.
+independently, into any buffer, and merged without changing the result
+(Salmon et al., "Parallel Random Numbers: As Easy as 1, 2, 3", SC'11).
+Monte Carlo and node scattering draw _CHUNK samples per `points_block`
+call into one `Workspace` (counters, shifts, x and y for one chunk), and
+the map's lookups reuse their key and code buffers the same way, so no
+chunk after the first allocates or faults in fresh pages.
 
 `CellIndex` bins source centres into square cells (spatial hashing:
 Teschner et al., "Optimized Spatial Hashing for Collision Detection of
@@ -45,46 +50,87 @@ _INV_2_53 = 1.0 / 9007199254740992.0  # 2**-53
 IMPL = "python"
 HAVE_COMPILED = False  # read by the benchmark (bench/child.py), which records it
 
-_CHUNK = 65536  # samples drawn per points_block call
+_CHUNK = 65536  # samples per points_block call of the Monte Carlo and scatter paths
 _CANDIDATES = 1 << 18  # (point, source) tests per block: bounds the temporaries
 _MAX_CELL_AXIS = 2048  # classification cells per axis: at most 2**22 cells in all
 _FIELD_PER_RADIUS = 256  # a map needs r > max(width, height) / this: see CellClasses
 _CELLS_PER_SAMPLE = 0.5  # map cells only where they are this few per point (sample or node)
+_EVEN = np.arange(0, 2 * _CHUNK, 2, dtype=np.uint64)  # 2i: the counter ramp every chunk reads
+_EVEN.flags.writeable = False
 
 
-def uniform_block(seed: int, start: int, count: int) -> np.ndarray:
-    """Uniform [0,1) doubles for counters start .. start+count-1."""
+def _seed(seed) -> int:
     seed = _integer(seed, "seed")  # 2.5 would otherwise draw seed 2's stream
     if not 0 <= seed < 1 << 64:  # one stream per seed: no two seeds alias modulo 2**64
         raise ValidationError(f"seed must be in [0, 2**64), got {seed}")
-    # seed + (counter + 1) * golden, then the splitmix64 finalizer, all in
-    # one buffer: every step wraps modulo 2**64 as the formula does
-    z = np.arange(start, start + count, dtype=np.uint64)
-    z += np.uint64(1)
+    return seed
+
+
+def _splitmix(z: np.ndarray, seed: int, shifted: np.ndarray) -> None:
+    """In place, counter + 1 in z becomes the top 53 bits of the splitmix64
+    finalizer of seed + (counter + 1) * golden: every step wraps modulo
+    2**64 as the formula does. `shifted` is scratch of z's length."""
     z *= _GOLDEN
     z += np.uint64(seed)
-    shifted = np.empty_like(z)
     for shift, mix in ((30, _MIX1), (27, _MIX2), (31, None)):
         np.right_shift(z, np.uint64(shift), out=shifted)
         z ^= shifted
         if mix is not None:
             z *= mix
     z >>= np.uint64(11)
+
+
+def uniform_block(seed: int, start: int, count: int) -> np.ndarray:
+    """Uniform [0,1) doubles for counters start .. start+count-1."""
+    seed = _seed(seed)
+    z = np.arange(start, start + count, dtype=np.uint64)
+    z += np.uint64(1)
+    _splitmix(z, seed, np.empty_like(z))
     u = z.astype(np.float64)
     u *= _INV_2_53
     return u
 
 
+class Workspace:
+    """Buffers for `points_block` calls of up to `count` samples: x and y
+    for `count` points, and counters and shifts for one chunk of them.
+    A workspace of min(_CHUNK, count) samples draws any number of samples
+    a chunk per call with no allocation; each call overwrites the x and y
+    that the last one returned."""
+
+    def __init__(self, count: int):
+        self.x = np.empty(count)
+        self.y = np.empty(count)
+        self.z, self.shifted = np.empty((2, min(_CHUNK, count)), dtype=np.uint64)
+
+
 def points_block(
-    seed: int, start: int, count: int, width: float, height: float
+    seed: int, start: int, count: int, width: float, height: float,
+    *, workspace: Workspace | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Uniform points over the rectangle for sample indices start .. start+count-1.
 
-    Sample i consumes counters 2i and 2i+1 (x then y), so blocks partition
-    cleanly by sample index.
+    Sample i takes x from counter 2i and y from counter 2i+1, so blocks
+    partition cleanly by sample index; each coordinate is
+    (z >> 11) * 2**-53, then * width (or * height), as from `uniform_block`.
+    The points are written into `workspace`, which must hold `count`, and
+    returned as views of it; without one, into a fresh one.
     """
-    u = uniform_block(seed, 2 * start, 2 * count)
-    return u[0::2] * width, u[1::2] * height
+    seed = _seed(seed)
+    if workspace is None:
+        workspace = Workspace(count)
+    x, y = workspace.x[:count], workspace.y[:count]
+    for lo in range(0, count, _CHUNK):
+        n = min(_CHUNK, count - lo)
+        z, shifted = workspace.z[:n], workspace.shifted[:n]
+        for coords, odd, scale in ((x, 0, width), (y, 1, height)):
+            # counter + 1 for counters 2i + odd of samples start + lo ..
+            np.add(_EVEN[:n], np.uint64(2 * (start + lo) + odd + 1), out=z)
+            _splitmix(z, seed, shifted)
+            out = coords[lo : lo + n]
+            np.multiply(z, _INV_2_53, out=out)  # z < 2**53 converts exactly
+            out *= scale
+    return x, y
 
 
 def _in_disc(x, y, sx, sy, r_sq: float, d2=None, dy=None) -> np.ndarray:
@@ -302,30 +348,45 @@ class CellClasses:
         near = np.maximum(np.maximum(lo, -hi), 0.0)
         return cell, np.maximum(lo * lo, hi * hi), near * near
 
-    def _lookup(self, px, py):
+    @staticmethod
+    def _buffers(count: int):
+        """Cell keys, x cells and codes for `_lookup`s of up to `count` points."""
+        return np.empty(count, np.intp), np.empty(count, np.intp), np.empty(count, np.uint8)
+
+    def _lookup(self, px, py, buffers=None):
         """Per point: its cell's code, and for points in one-source cells
         their indices into px and whether their sole source's disc holds
-        them."""
-        key = (py * self.per_m).astype(np.intp)
+        them. Keys and codes are written into `buffers` (fresh ones if
+        None) and returned as views of them."""
+        if buffers is None:
+            buffers = self._buffers(len(px))
+        key, column, code = (b[: len(px)] for b in buffers)
+        # each product truncated to an integer cell, as .astype(np.intp) does
+        np.multiply(py, self.per_m, out=key, casting="unsafe")
         key *= self.stride
-        key += (px * self.per_m).astype(np.intp)
+        np.multiply(px, self.per_m, out=column, casting="unsafe")
+        key += column
         key += self.reach * (self.stride + 1)  # the padding on both axes
-        code = self.code[key]
+        np.take(self.code, key, out=code)
         one = np.flatnonzero(code == ONE)
         src = self.sole[key[one]]
         return key, code, one, _in_disc(px[one], py[one], self.x[src], self.y[src], self.r_sq)
 
     def count(self, chunks) -> int:
         """Number of points, over (x, y) chunks, within the radius of at
-        least one source."""
+        least one source. The lookup reuses one set of buffers, sized by
+        the largest chunk so far."""
         inside = 0
+        buffers = self._buffers(0)
 
         def many():
-            nonlocal inside
+            nonlocal inside, buffers
             for px, py in chunks:
-                _, code, _, hit = self._lookup(px, py)
-                counts = np.bincount(code, minlength=8)
-                inside += int(counts[COVERED] + counts[MANY_COVERED]) + int(np.count_nonzero(hit))
+                if len(px) > len(buffers[0]):
+                    buffers = self._buffers(len(px))
+                _, code, _, hit = self._lookup(px, py, buffers)
+                covered = np.count_nonzero(code & 2)  # bit 1: COVERED and MANY_COVERED
+                inside += int(covered) + int(np.count_nonzero(hit))
                 on = code == MANY
                 yield px[on], py[on]
 
@@ -337,9 +398,10 @@ class CellClasses:
         time, so only the two results are per-point arrays."""
         first = np.empty(len(px), dtype=np.int64)
         fed = np.empty(len(px), dtype=np.int64)
+        buffers = self._buffers(min(_CHUNK, len(px)))
         for lo in range(0, len(px), _CHUNK):
             x, y = px[lo : lo + _CHUNK], py[lo : lo + _CHUNK]
-            key, code, one, hit = self._lookup(x, y)
+            key, code, one, hit = self._lookup(x, y, buffers)
             low, count = first[lo : lo + _CHUNK], fed[lo : lo + _CHUNK]  # views into the results
             low[:] = self.sole[key]  # -1 in empty cells
             low[one[~hit]] = -1
@@ -381,8 +443,11 @@ def covered_count(
 ) -> int:
     """Number of samples in [start, start+count) that fall inside >=1 disc
     of `index`, a `disc_index` of the sources built by the caller: once
-    for all the spans into which a caller splits one call's samples."""
+    for all the spans into which a caller splits one call's samples.
+    Every chunk is drawn into one workspace, consumed before the next."""
+    workspace = Workspace(min(_CHUNK, count))
     return index.count(
-        points_block(seed, lo, min(_CHUNK, start + count - lo), width, height)
+        points_block(seed, lo, min(_CHUNK, start + count - lo), width, height,
+                     workspace=workspace)
         for lo in range(start, start + count, _CHUNK)
     )

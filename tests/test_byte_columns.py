@@ -1,10 +1,12 @@
 """`byte_columns` writes every float cell as `sweep_report._format_number`
 does: over 10^7 generator coordinates and the doubles at the edges of
-its shortest-digits path."""
+its shortest-digits path, and over any double, int64 or masked cell
+Hypothesis draws."""
 
 import hashlib
 
 import numpy as np
+from hypothesis import example, given, settings, strategies as st
 
 from wpsn_coverage import byte_columns
 from wpsn_coverage.kernels import points_block
@@ -111,3 +113,29 @@ def test_bytes_and_masked_columns_match_the_per_cell_writer():
 
     expected = "".join(",".join(row) + "\n" for row in zip(*map(cells, columns))).encode()
     assert written == expected
+
+
+# short decimals m * 10^e: the shortest-digits path's common case and its ties
+short_decimals = st.builds(lambda m, e: float(f"{m}e{e}"),
+                           st.integers(-(10**17), 10**17), st.integers(-25, 5))
+float_cells = st.one_of(st.floats(), st.floats(1e-4, 2.0**53), short_decimals)
+int64_cells = st.integers(-(2**63), 2**63 - 1)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.tuples(float_cells, int64_cells, st.booleans(), st.booleans()),
+                min_size=1, max_size=40))
+@example([(-0.0, -(2**63), False, True), (5e-324, 2**63 - 1, True, False),
+          (float("nan"), 0, False, False), (-float("inf"), -1, False, False)])
+def test_any_cells_match_the_per_cell_writer(rows):
+    """Every double (specials, subnormals, -0.0), every int64, and masked
+    cells of both, in one block of rows."""
+    floats, ints, int_mask, float_mask = zip(*rows)
+    f, i = np.array(floats, np.float64), np.array(ints, np.int64)
+    columns = (f, np.ma.array(i, mask=int_mask), np.ma.array(f, mask=float_mask), i)
+    expected = "".join(
+        f"{_format_number(x)},{'' if mi else _format_number(n)},"
+        f"{'' if mf else _format_number(x)},{_format_number(n)}\n"
+        for x, n, mi, mf in zip(f.tolist(), i.tolist(), int_mask, float_mask)
+    ).encode()
+    assert byte_columns.rows_bytes(columns) == expected

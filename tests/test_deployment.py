@@ -9,10 +9,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from wpsn_coverage import deployment
+from wpsn_coverage import deployment, kernels
 from wpsn_coverage.coverage import EventField, source_count_from_range
 from wpsn_coverage.deployment import (
     Deployment,
+    NodeField,
     Strategy,
     coverage_report,
     detect_interference,
@@ -246,6 +247,27 @@ class TestScatterNodes:
         field = EventField(10.0, 10.0)
         nodes = scatter_nodes(field, np.int32(5), seed=np.uint64(3))
         assert np.array_equal(nodes.positions, scatter_nodes(field, 5, seed=3).positions)
+
+    def test_positions_are_the_interleaved_stream_across_chunks(self):
+        n = 2 * kernels._CHUNK + 3
+        u = kernels.uniform_block(13, 0, 2 * n)
+        positions = scatter_nodes(EventField(30.0, 70.0), n, seed=13).positions
+        assert positions.tobytes() == np.column_stack((u[0::2] * 30.0, u[1::2] * 70.0)).tobytes()
+
+    def test_memory_peaks_below_one_and_a_half_positions_plus_a_chunk(self):
+        """10^6 nodes take 15.3 MiB. Drawing them in one call and copying
+        them into the NodeField peaked at 3x (45.8 MiB); a chunk at a time
+        into the final array, taken as it is, adds one chunk's workspace
+        and the in-field check's bool temporaries."""
+        n = 10**6
+        tracemalloc.start()
+        try:
+            nodes = scatter_nodes(EventField(400.0, 400.0), n, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert nodes.positions.shape == (n, 2)
+        assert peak < 1.5 * nodes.positions.nbytes + 32 * kernels._CHUNK
 
     def test_rejects_count_over_cap(self, monkeypatch):
         assert deployment.MAX_NODES >= 10**6  # the scaled benchmark's node count
@@ -589,6 +611,28 @@ class TestDeploymentValidation:
         with pytest.raises(ValueError):
             dep.sources[0, 0] = 1.0
 
+    def test_read_only_arrays_are_taken_as_they_are(self):
+        field = EventField(10.0, 10.0)
+        frozen = np.array([[5.0, 5.0], [1.0, 2.0]])
+        frozen.flags.writeable = False
+        assert NodeField(field, frozen, seed=0).positions is frozen
+        assert Deployment(field, frozen, 2.0, Strategy.EXPLICIT).sources is frozen
+        frozen_outside = np.array([[5.0, 5.0], [5.0, 11.0]])
+        frozen_outside.flags.writeable = False
+        with pytest.raises(ValidationError, match=r"node \(5.0, 11.0\) lies outside"):
+            NodeField(field, frozen_outside, seed=0)
+
+    def test_writable_arrays_and_views_are_copied_not_frozen(self):
+        field = EventField(10.0, 10.0)
+        given = np.array([[5.0, 5.0], [1.0, 2.0]])
+        view = given[:]
+        view.flags.writeable = False  # its base stays writable
+        for points in (given, view, np.array([[5, 5]]), np.array([[5.0, 5.0, 1.0]])[:, :2]):
+            positions = NodeField(field, points, seed=0).positions
+            assert positions is not points and not np.shares_memory(positions, given)
+            assert not positions.flags.writeable
+        assert given.flags.writeable
+
     def test_non_positive_radius_rejected(self):
         with pytest.raises(ValidationError):
             Deployment(EventField(10.0, 10.0), ((5.0, 5.0),), 0.0, Strategy.EXPLICIT)
@@ -605,6 +649,4 @@ class TestDeploymentValidation:
 
 
 def _nodes_at(field, positions):
-    from wpsn_coverage.deployment import NodeField
-
     return NodeField(field=field, positions=tuple(positions), seed=0)

@@ -502,3 +502,80 @@ class TestCounterGenerator:
     def test_covered_count_empty_sources(self, impl):
         index = impl.disc_index(100, 1.0, 1.0, np.array([]), np.array([]), 1.0)
         assert impl.covered_count(0, 0, 100, 1.0, 1.0, index) == 0
+
+
+# the generator's workspace ---------------------------------------------------
+
+
+def reference_points(seed, start, count, width, height):
+    """Sample i is x from counter 2i and y from counter 2i + 1 of the
+    uniform stream, each scaled by the field's side."""
+    u = kernels.uniform_block(seed, 2 * start, 2 * count)
+    return u[0::2] * width, u[1::2] * height
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64).tolist()
+
+
+sides = st.floats(1e-300, 1e300, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**64 - 1), st.integers(0, 2**40),
+       st.integers(0, 3 * kernels._CHUNK + 1), sides, sides)
+@example(2**64 - 1, 2**40, 0, 400.0, 300.0)
+@example(0, 0, kernels._CHUNK, 400.0, 300.0)
+@example(2**64 - 1, 2**40, 2 * kernels._CHUNK + 7, 1.0, 5e-324 * 2**60)
+@example(7, 3, 1000, 3e-300, 1e300)  # width * 2**-53 is subnormal: one fused multiply differs
+def test_points_through_a_reused_workspace_equal_the_interleaved_stream(
+    seed, start, count, width, height
+):
+    """Chunk by chunk through one workspace, as Monte Carlo and the
+    scatter draw, and in one call on fresh buffers: bit for bit the
+    reference, whatever the seed, the start or a last partial chunk."""
+    x, y = reference_points(seed, start, count, width, height)
+    workspace = kernels.Workspace(min(kernels._CHUNK, count))
+    for lo in range(0, count, kernels._CHUNK):
+        n = min(kernels._CHUNK, count - lo)
+        cx, cy = kernels.points_block(seed, start + lo, n, width, height, workspace=workspace)
+        assert _bits(cx) == _bits(x[lo : lo + n])
+        assert _bits(cy) == _bits(y[lo : lo + n])
+    fx, fy = kernels.points_block(seed, start, count, width, height)
+    assert _bits(fx) == _bits(x) and _bits(fy) == _bits(y)
+
+
+def test_a_reused_workspace_answers_as_a_fresh_one():
+    workspace = kernels.Workspace(1000)
+    for start, count in [(0, 1000), (2**40, 999), (5, 7), (3, 0), (17, 1000), (0, 1000)]:
+        reused = [a.copy() for a in kernels.points_block(
+            3, start, count, 8.0, 5.0, workspace=workspace)]
+        fresh = kernels.points_block(3, start, count, 8.0, 5.0, workspace=kernels.Workspace(count))
+        assert [_bits(a) for a in reused] == [_bits(a) for a in fresh]
+
+
+@pytest.mark.parametrize("seed, message", [
+    (2.5, "seed must be an integer"), (-1, r"seed must be in \[0, 2\*\*64\)"),
+    (2**64, r"seed must be in \[0, 2\*\*64\)"),
+])
+def test_workspace_draws_reject_seeds_as_uniform_block_does(seed, message):
+    for draw in (lambda: kernels.uniform_block(seed, 0, 4),
+                 lambda: kernels.points_block(seed, 0, 4, 1.0, 1.0,
+                                              workspace=kernels.Workspace(4))):
+        with pytest.raises(ValidationError, match=message):
+            draw()
+
+
+def test_monte_carlo_memory_does_not_grow_with_the_samples():
+    """The design point's three hex-grid discs, the same 16-per-radius map
+    at both counts: one chunk's workspace (2 MiB) and lookup buffers
+    (1.1 MiB) serve every chunk. Fresh arrays per chunk peaked at 4.2 MiB."""
+    from wpsn_coverage.deployment import monte_carlo_coverage
+
+    field = EventField(200.0, 200.0)
+    dep = place_sources(field, 47.8, Strategy.HEX_GRID)
+    counts = (2 * 10**5, 2 * 10**6)
+    assert {kernels._cells_per_radius(n, 200.0, 200.0, 47.8) for n in counts} == {16}
+    small, large = (_traced_peak(lambda: monte_carlo_coverage(dep, n, 1)) for n in counts)
+    assert abs(large - small) < 64 * 2**10
+    assert large < 4 * 2**20
