@@ -19,7 +19,7 @@ from pathlib import Path
 from . import figures
 from .coverage import Strategy, required_power, source_count, source_count_from_range
 from .quantities import ValidationError
-from .scenario import RADIO_KEYS, Scenario, apply_overrides, load_scenario, parse_value
+from .scenario import Scenario, apply_overrides, load_scenario, parse_value
 from .sweep_report import SweepTable, write_csv, write_svg_plot
 
 
@@ -32,50 +32,47 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.format_usage()}error: {message}")
 
 
-def _key_flags(parser: argparse.ArgumentParser, keys: str, **options: dict) -> None:
-    """One flag per scenario key, named like it (`p_t_w` is `--p-t-w`), with
-    the key's add_argument options, if any."""
-    for key in keys.split():
-        parser.add_argument("--" + key.replace("_", "-"), **options.get(key, {}))
+# The argparse options of each flag that needs any. A flag is named like
+# its key (`p_t_w` is `--p-t-w`) unless its options give a "flag" name.
+_OPTIONS = {
+    "scenario": {"type": Path, "help": "scenario file (key = value lines)"},
+    "eirp_product_w": {"help": "p_t*g_t*g_r folded into one value (gains become 1)"},
+    "field_area_m2": {"flag": "--area-m2"},
+    "out": {"type": Path, "default": Path("."), "help": "output directory"},
+    "node_seed": {"flag": "--seed", "help": "RNG seed for node scattering"},
+    "strategy": {"metavar": "{" + ",".join(s.value for s in Strategy) + "}"},
+    "node_count": {"flag": "--nodes"},
+    "k": {"type": int, "required": True, "help": "number of sources"},
+    "figure": {"type": int, "required": True, "choices": figures.FIGURES},
+    "svg": {"action": "store_true", "help": "also write an SVG plot"},
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="wpsncov", description=__doc__.splitlines()[0])
-    # Each subcommand takes only the flags it reads, so power, which solves
-    # for the transmit power, takes neither of these; radio adds them to gains.
-    transmit = "p_t_w eirp_product_w"
-    gains = _Parser(add_help=False)
-    gains.add_argument("--scenario", type=Path, help="scenario file (key = value lines)")
-    _key_flags(gains, " ".join(k for k in RADIO_KEYS.split() if k not in transmit.split()))
-    radio = _Parser(add_help=False, parents=[gains])
-    _key_flags(radio, transmit, eirp_product_w={
-        "help": "p_t*g_t*g_r folded into one value (gains become 1)"})
-    area = _Parser(add_help=False)
-    area.add_argument("--area-m2", dest="field_area_m2")
-    field = _Parser(add_help=False, parents=[radio, area])
-    output = _Parser(add_help=False, parents=[field])
-    output.add_argument("--out", type=Path, default=Path("."), help="output directory")
-    placement = _Parser(add_help=False, parents=[output])
-    placement.add_argument("--seed", dest="node_seed", help="RNG seed for node scattering")
-    strategies = ",".join(s.value for s in Strategy)
-    _key_flags(placement, "r_rf_m strategy", strategy={"metavar": f"{{{strategies}}}"})
-    placement.add_argument("--nodes", dest="node_count")
-
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, parent, run, text in (
-        ("range", radio, _cmd_range, "print a source's range (r_rf_m, else activation) in m"),
-        ("sources", field, _cmd_sources, "print the required source count"),
-        ("power", _Parser(add_help=False, parents=[gains, area]), _cmd_power,
-         "print required transmit power"),
-        ("deploy", placement, _cmd_deploy, "write placement and coverage CSVs"),
-        ("interference", placement, _cmd_interference, "write the interference report CSV"),
-        ("sweep", output, _cmd_sweep, "write a figure dataset CSV"),
+    # Each subcommand takes only the flags it reads, so power, which solves
+    # for the transmit power, takes neither p_t_w nor eirp_product_w.
+    gains = "scenario g_t_dbi g_r_dbi f_hz v_min_v r_r_ohm r_l_ohm"
+    radio = f"{gains} p_t_w eirp_product_w"
+    placement = f"{radio} field_area_m2 out node_seed r_rf_m strategy node_count"
+    for name, run, text, keys in (
+        ("range", _cmd_range, "print a source's range (r_rf_m, else activation) in m",
+         f"{radio} r_rf_m"),
+        ("sources", _cmd_sources, "print the required source count",
+         f"{radio} field_area_m2 r_rf_m"),
+        ("power", _cmd_power, "print required transmit power", f"{gains} field_area_m2 k"),
+        ("deploy", _cmd_deploy, "write placement and coverage CSVs", placement),
+        ("interference", _cmd_interference, "write the interference report CSV", placement),
+        ("sweep", _cmd_sweep, "write a figure dataset CSV",
+         f"{radio} field_area_m2 out figure svg"),
     ):
-        sub.add_parser(name, parents=[parent], help=text).set_defaults(run=run)
-    sub.choices["power"].add_argument("--k", type=int, required=True, help="number of sources")
-    p_sweep = sub.choices["sweep"]
-    p_sweep.add_argument("--figure", type=int, required=True, choices=figures.FIGURES)
-    p_sweep.add_argument("--svg", action="store_true", help="also write an SVG plot")
+        command = sub.add_parser(name, help=text)
+        command.set_defaults(run=run)
+        for key in keys.split():
+            options = dict(_OPTIONS.get(key, {}))
+            flag = options.pop("flag", "--" + key.replace("_", "-"))
+            command.add_argument(flag, dest=key, **options)
     return parser
 
 

@@ -76,6 +76,18 @@ class TestRange:
         path.write_text(RANGE_SCENARIO)
         assert run(capsys, "range", "--scenario", str(path)) == (0, "2.0\n", "")
 
+    def test_range_flag_is_the_file_key(self, capsys, tmp_path):
+        path = tmp_path / "range.scn"
+        path.write_text("r_rf_m = 10\n")
+        from_file = run(capsys, "range", "--scenario", str(path))
+        assert run(capsys, "range", "--r-rf-m", "10") == from_file == (0, "10.0\n", "")
+
+    def test_range_flag_with_radio_flag_rejected(self, capsys):
+        code, out, err = run(capsys, "range", "--r-rf-m", "10", "--f-hz", "2GHz")
+        assert code == 1
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error: ") and "r_rf_m" in err
+
 
 class TestSources:
     def test_design_point(self, capsys, design_file):
@@ -96,6 +108,11 @@ class TestSources:
         path.write_text(RANGE_SCENARIO)
         out = "exact 7.957747154594767\nrequired 8\n"  # 100 m^2 / (pi 2^2)
         assert run(capsys, "sources", "--scenario", str(path)) == (0, out, "")
+
+    def test_range_flag(self, capsys):
+        code, out, err = run(capsys, "sources", "--r-rf-m", "10", "--area-m2", "1e4")
+        assert (code, err) == (0, "")
+        assert out.splitlines()[0] == f"exact {1e4 / (math.pi * 10.0**2)!r}"
 
 
 class TestPower:
@@ -387,6 +404,7 @@ class TestErrorHandling:
             ["sweep", "--figure", "5", "--r-rf-m", "10"],
             ["power", "--k", "6", "--p-t-w", "1"],  # the power it solves for
             ["power", "--k", "6", "--eirp-product-w", "4"],
+            ["power", "--k", "6", "--r-rf-m", "10"],
         ],
     )
     def test_flag_not_read_is_usage_error(self, capsys, argv):
@@ -475,6 +493,7 @@ def test_scenario_flags_store_scenario_keys():
 KIND_VALUES = {
     "power": ("1 W", "2 W"), "plain": ("8.5", "3"), "frequency": ("1 GHz", "2 GHz"),
     "voltage": ("100 mV", "200 mV"), "resistance": ("50", "20"), "area": ("1e4", "2e4"),
+    "length": ("10", "12"),
 }
 SCALAR_COMMANDS = {"range": [], "sources": [], "power": ["--k", "6"]}
 

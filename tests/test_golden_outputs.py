@@ -123,8 +123,9 @@ def test_figure_bytes_pinned(tmp_path, capsys, name, figure):
     assert digests == FIGURE_GOLDEN[name][figure]
 
 
-# numpy's dispatch without its AVX-512 paths, as on a CPU that lacks them
-NO_AVX512 = "AVX512_SPR AVX512_ICL AVX512_SKX AVX512_CLX AVX512_CNL AVX512CD AVX512F X86_V4"
+# numpy's dispatch without its AVX-512 paths, as on a CPU that lacks them; numpy
+# warns at import about a name it does not dispatch
+NO_AVX512 = "X86_V4 AVX512_ICL AVX512_SPR"
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 

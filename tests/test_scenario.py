@@ -1,3 +1,4 @@
+import argparse
 import re
 from dataclasses import fields
 
@@ -259,18 +260,30 @@ COMMANDS = (
 )
 
 
+# file-only keys that a flag's key stands for: a command that reads the flag reads them
+PARTNERS = {"field_area_m2": ("field_width_m", "field_height_m"), "strategy": ("sources",)}
+
+
+def _reads(command: str, key: str) -> bool:
+    """Whether the command reads the key: its flag, or the partner of one."""
+    (sub,) = (a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {action.dest for action in sub.choices[command]._actions}
+    return key in flags or any(key in PARTNERS.get(flag, ()) for flag in flags)
+
+
 def _outputs(tmp_path, capsys, doc):
-    """Stdout of every subcommand, then every file they wrote."""
-    scenario, out_dir = tmp_path / "s.scn", tmp_path / "out"
+    """Per command, its stdout and then every file it wrote."""
+    scenario = tmp_path / "s.scn"
     scenario.write_text(doc)
     seen = []
-    for command in COMMANDS:
+    for n, command in enumerate(COMMANDS):
+        out_dir = tmp_path / f"out{n}"
         writes = command[0] in ("deploy", "interference", "sweep")
         out = ["--out", str(out_dir)] if writes else []
         argv = [*command, "--scenario", str(scenario), *out]
         assert cli.main(argv) == 0, capsys.readouterr().err
-        seen.append(capsys.readouterr().out)
-    seen += [(p.name, p.read_bytes()) for p in sorted(out_dir.iterdir())]
+        files = sorted(out_dir.iterdir()) if writes else []
+        seen.append([capsys.readouterr().out, *((p.name, p.read_bytes()) for p in files)])
     return seen
 
 
@@ -280,3 +293,9 @@ def test_every_key_takes_effect(tmp_path, capsys, key):
     first = _outputs(tmp_path, capsys, f"{context}{key} = {a}\n")
     second = _outputs(tmp_path, capsys, f"{context}{key} = {b}\n")
     assert first != second
+    # one file serves every command, so a command ignores the keys it does not read
+    changed_unread = [
+        " ".join(command) for command, x, y in zip(COMMANDS, first, second)
+        if x != y and not _reads(command[0], key)
+    ]
+    assert changed_unread == []
