@@ -6,32 +6,30 @@ independently, into any buffer, and merged without changing the result
 (Salmon et al., "Parallel Random Numbers: As Easy as 1, 2, 3", SC'11).
 Monte Carlo and node scattering draw _CHUNK samples per `points_block`
 call into one `Workspace` (counters, shifts, x and y for one chunk), and
-the map's lookups reuse their key and code buffers the same way, so no
-chunk after the first allocates or faults in fresh pages.
+the map's lookups and the index's walk reuse their buffers the same way,
+so no chunk after the first allocates or faults in fresh pages.
 
-`CellIndex` bins source centres into square cells (spatial hashing:
-Teschner et al., "Optimized Spatial Hashing for Collision Detection of
-Deformable Objects", VMV 2003; the cell lists of molecular dynamics). A
-query point tests only the sources in the cells around its own, with the
-same closed-disc test `dx*dx + dy*dy <= r*r` as a test against every
-source: the index only prunes, so every answer is bit-identical to the
-brute-force one.
+`CellIndex` sorts source centres by square cell under one offsets table
+(cell lists: Bentley, Stanat & Williams, "The complexity of finding
+fixed-radius near neighbors", IPL 1977; Teschner et al., "Optimized
+Spatial Hashing for Collision Detection of Deformable Objects", VMV
+2003). A query walks its points' three runs of candidates one slot at a
+time, with the same closed-disc test `dx*dx + dy*dy <= r*r` as a test
+against every source: the index only prunes, so every answer is
+bit-identical to the brute-force one.
 
 `disc_index` first tries `CellClasses`, region classification at one
 level (Samet, "The Design and Analysis of Spatial Data Structures",
-1990): a grid of side r/16 to r/8 whose cells hold a code and a source
-index. A cell is empty (no source within r(1 + 1e-9) of it), near one
-source, covered by its one near source (all four corners within
-r(1 - 1e-9) of it), or near two or more. A point in an empty or covered
-cell is answered by one lookup, and one in a one-source cell by one
-closed-disc test against that source; the same margins make the lookup
-and that single test agree with a test against every source. Only points
-in cells near two or more sources reach the cell index. The same map
-answers Monte Carlo counts (`covered_count`) and per-node membership
-(lowest covering source and number of covering discs). The grid is used
-only where it has at most one cell per two points and at most 2048 cells
-per axis, decided from the arguments before anything is allocated;
-otherwise every point goes through the cell index.
+1990): a grid of side r/16 to r/8 whose cells are empty, near one
+source, covered by that source, or near two or more, with margins that
+make one lookup, or one closed-disc test against the one near source,
+agree with a test against every source. Only points in cells near two
+or more sources reach the cell index. The same map answers Monte Carlo
+counts (`covered_count`) and per-node membership (lowest covering source
+and number of covering discs). The grid is used only where it has at
+most one cell per two points and at most 2048 cells per axis, decided
+from the arguments before anything is allocated; otherwise every point
+goes through the cell index.
 """
 
 from __future__ import annotations
@@ -51,7 +49,7 @@ IMPL = "python"
 HAVE_COMPILED = False  # read by the benchmark (bench/child.py), which records it
 
 _CHUNK = 65536  # samples per points_block call of the Monte Carlo and scatter paths
-_CANDIDATES = 1 << 18  # (point, source) tests per block: bounds the temporaries
+_CANDIDATES = 1 << 18  # (source, cell) tests per CellClasses stamp block: bounds its temporaries
 _MAX_CELL_AXIS = 2048  # classification cells per axis: at most 2**22 cells in all
 _FIELD_PER_RADIUS = 256  # a map needs r > max(width, height) / this: see CellClasses
 _CELLS_PER_SAMPLE = 0.5  # map cells only where they are this few per point (sample or node)
@@ -133,31 +131,36 @@ def points_block(
     return x, y
 
 
-def _in_disc(x, y, sx, sy, r_sq: float, d2=None, dy=None) -> np.ndarray:
-    """dx*dx + dy*dy <= r*r elementwise, in place (in buffers d2 and dy if
-    given): every disc answer comes from this one expression, bit for bit."""
+def _in_disc(x, y, sx, sy, r_sq: float, d2=None, dy=None, ok=None) -> np.ndarray:
+    """dx*dx + dy*dy <= r*r elementwise, in place (in buffers d2, dy and ok
+    if given; d2 and dy may be sx and sy): every disc answer comes from
+    this one expression, bit for bit."""
     d2 = np.subtract(x, sx, out=d2)
     d2 *= d2
     dy = np.subtract(y, sy, out=dy)
     dy *= dy
     d2 += dy
-    return d2 <= r_sq
+    return np.less_equal(d2, r_sq, out=ok)
 
 
 class CellIndex:
-    """Sources in square cells, sorted by cell key, with per-cell offsets.
+    """Sources in square cells, sorted by cell key, with one offsets table.
 
     Answers "which sources lie within `radius` of each point" for one
     radius. Cells are wider than `radius`, so a point's candidates are the
-    sources in the 3 x 3 cells around its own; each of the 3 rows of cells
-    is one contiguous run of the sorted sources, read padded to the
-    longest run. Where that padded width is no smaller than the source
-    count the index cannot prune, and every point tests every source in
-    index order, exactly as without an index.
+    sources in the 3 x 3 cells around its own. The grid is padded by one
+    empty cell on each side, so for each cell k the cells k - 1 .. k + 1
+    of its row hold the sorted sources offsets[k - 1] : offsets[k + 2],
+    with no bounds test; `run` is the longest such run. A query walks
+    3 * run slots, slot s of a row testing the s-th source of each point's
+    run there (False past its end), on chunk-length vectors in buffers
+    that every slot and chunk reuses. Where 3 * run is no smaller than the
+    source count the index cannot prune (`pruned` is False), and every
+    point walks all the sources.
     """
 
     def __init__(self, sources_x, sources_y, radius: float, width: float, height: float):
-        # the centres in index order; self.x, self.y below are the candidates
+        # the centres in index order; self.x, self.y below are sorted by cell
         self.sx = x = np.ascontiguousarray(sources_x, dtype=np.float64)
         self.sy = y = np.ascontiguousarray(sources_y, dtype=np.float64)
         self.size = n = x.size
@@ -171,102 +174,99 @@ class CellIndex:
         )
         self.nx = int(width / self.side) + 1
         self.ny = int(height / self.side) + 1
-
-        cx, cy = self._cells(x, y)
-        key = cy * self.nx + cx
+        self.stride = self.nx + 2
+        key = self._keys(x, y, np.empty(n, np.int64), np.empty(n))
         self.order = np.argsort(key, kind="stable")
-        offsets = np.zeros(self.nx * self.ny + 1, dtype=np.int64)
-        np.cumsum(np.bincount(key, minlength=self.nx * self.ny), out=offsets[1:])
-        # run of 3 cells centred on each cell, with an empty row of cells
-        # above and below so that queries need no bounds test
-        col = np.arange(self.nx)
-        row = np.arange(self.ny)[:, None] * self.nx
-        first = offsets[row + np.maximum(col - 1, 0)]
-        last = offsets[row + np.minimum(col + 1, self.nx - 1) + 1]
-        pad = np.zeros((1, self.nx), dtype=np.int64)
-        self.start = np.concatenate((pad, first, pad)).ravel()
-        self.length = np.concatenate((pad, last - first, pad)).ravel()
-        self.run = int(self.length.max())
+        self.offsets = offsets = np.zeros((self.ny + 2) * self.stride + 1, dtype=np.int64)
+        np.cumsum(np.bincount(key, minlength=offsets.size - 1), out=offsets[1:])
+        self.run = int((offsets[3:] - offsets[:-3]).max())  # padding adds no longer window
         self.pruned = 3 * self.run < n
-        if self.pruned:  # sorted centres, then a far sentinel for padded slots
-            self.x = np.append(x[self.order], np.inf)
-            self.y = np.append(y[self.order], np.inf)
-            self.order = np.append(self.order, n)  # above every index: no padded slot is a first
-        else:
-            self.x, self.y = x, y
+        self.x, self.y = x[self.order], y[self.order]
 
-    def _cells(self, x, y):
-        cx = np.clip(np.floor(x / self.side), 0, self.nx - 1).astype(np.int64)
-        cy = np.clip(np.floor(y / self.side), 0, self.ny - 1).astype(np.int64)
-        return cx, cy
+    def _keys(self, x, y, key, cell):
+        """Each point's padded cell key, (cy + 1) * stride + cx + 1, written
+        into `key`, with `cell` as float scratch."""
+        key.fill(self.stride + 1)
+        for v, cells, scale in ((y, self.ny, self.stride), (x, self.nx, 1)):
+            np.clip(np.floor(np.divide(v, self.side, out=cell), out=cell), 0, cells - 1, out=cell)
+            cell *= scale  # whole numbers: exact, and exact when cast
+            np.add(key, cell, out=key, casting="unsafe")
+        return key
 
-    def _blocks(self, chunks):
-        """Yield (lo, ok, pos) per block of each (x, y) chunk of points:
-        ok[p, c] is the disc test of the chunk's point lo + p against
-        candidate c, which is source c when pos is None and source
-        order[pos[p, c]] otherwise.
+    @staticmethod
+    def _buffers(count: int):
+        """Int, float and bool buffers for walks of up to `count` points."""
+        return np.empty((5, count), np.int64), np.empty((2, count)), np.empty((3, count), bool)
 
-        The disc test reuses two buffers per chunk and a block's other
-        temporaries live until the next chunk is drawn, so the allocator
-        reuses their pages: freeing them made 1.5-2.5x the page faults.
-        """
-        width = 3 * self.run if self.pruned else self.size
-        block = max(1, _CANDIDATES // max(width, 1))
-        slots = np.arange(self.run)
-        for px, py in chunks:
-            d2, dy = np.empty((2, min(block, len(px)), width))
-            for lo in range(0, len(px), block):
-                x = px[lo : lo + block, None]
-                y = py[lo : lo + block, None]
-                if self.pruned:
-                    cx, cy = self._cells(x, y)
-                    keys = (cy + np.arange(3)) * self.nx + cx
-                    pos = self.start[keys][:, :, None] + slots
-                    pos = np.where(slots < self.length[keys][:, :, None], pos, self.size)
-                    pos = pos.reshape(len(x), width)
-                    sx, sy = self.x[pos], self.y[pos]
-                else:
-                    pos = None
-                    sx, sy = self.x, self.y
-                yield lo, _in_disc(x, y, sx, sy, self.r_sq, d2[: len(x)], dy[: len(x)]), pos
+    def _walk(self, x, y, buffers):
+        """Yield (pos, ok) per slot: each point's candidate as a position
+        in the sorted sources, and whether it lies within the radius. Both
+        are views of `buffers`, which the next slot overwrites."""
+        (key, lo, hi, pos, _), (d2, dy), (ok, inside, _) = (b[:, : len(x)] for b in buffers)
+        if not self.pruned:  # every source in turn, the same one for every point
+            for s in range(self.size):
+                pos.fill(s)
+                yield pos, _in_disc(x, y, self.x[s], self.y[s], self.r_sq, d2, dy, ok)
+            return
+        self._keys(x, y, key, d2)
+        for row in (-self.stride, 0, self.stride):  # in range by the padding: "clip" skips a copy
+            np.take(self.offsets, np.add(key, row - 1, out=pos), out=lo, mode="clip")
+            np.take(self.offsets, np.add(key, row + 2, out=pos), out=hi, mode="clip")
+            for s in range(self.run):
+                np.add(lo, s, out=pos)
+                np.less(pos, hi, out=inside)  # past its run a slot reads some other source
+                np.take(self.x, pos, out=d2, mode="clip")
+                np.take(self.y, pos, out=dy, mode="clip")
+                _in_disc(x, y, d2, dy, self.r_sq, d2, dy, ok)
+                ok &= inside
+                yield pos, ok
 
     def count(self, chunks) -> int:
         """Number of points, over (x, y) chunks, within the radius of at
-        least one source."""
-        return sum(int(ok.any(axis=1).sum()) for _, ok, _ in self._blocks(chunks))
+        least one source, in buffers sized by the largest chunk so far."""
+        inside = 0
+        buffers = self._buffers(0)
+        for px, py in chunks:
+            if len(px) > buffers[0].shape[1]:
+                buffers = self._buffers(len(px))
+            hit = buffers[2][2, : len(px)]
+            hit.fill(False)
+            for _, ok in self._walk(px, py, buffers):
+                hit |= ok
+            inside += int(np.count_nonzero(hit))
+        return inside
 
     def membership(self, px: np.ndarray, py: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Per point: the lowest index of a source within the radius (-1
-        if none) and the number of such sources. Memory is bounded by the
-        points and one block, whatever the discs over each point.
-
-        Candidates come in cell order, and the three rows of cells are not
-        sorted against each other, so the lowest index is the minimum over
-        the hits, not the first hit."""
-        first = np.full(len(px), -1, dtype=np.int64)
+        if none) and the number of such sources, _CHUNK points at a time.
+        Candidates come in cell order, so the lowest index is a running
+        minimum over the hits, not the first hit."""
+        first = np.full(len(px), self.size, dtype=np.int64)
         fed = np.zeros(len(px), dtype=np.int64)
-        if self.size == 0:
-            return first, fed
-        for lo, ok, pos in self._blocks([(px, py)]):
-            rows = slice(lo, lo + len(ok))
-            fed[rows] = np.count_nonzero(ok, axis=1)
-            if pos is None:  # candidates in index order: the first hit is the lowest
-                low = ok.argmax(axis=1)
-            else:
-                low = np.where(ok, self.order[pos], self.size).min(axis=1)
-            first[rows] = np.where(fed[rows] > 0, low, -1)
+        buffers = self._buffers(min(_CHUNK, len(px)))
+        for lo in range(0, len(px), _CHUNK):
+            low, count = first[lo : lo + _CHUNK], fed[lo : lo + _CHUNK]  # views into the results
+            source = buffers[0][4, : len(low)]
+            for pos, ok in self._walk(px[lo : lo + _CHUNK], py[lo : lo + _CHUNK], buffers):
+                count += ok
+                np.take(self.order, pos, out=source, mode="clip")  # read where ok only
+                np.minimum(low, source, out=low, where=ok)
+        first[fed == 0] = -1
         return first, fed
 
     def pairs(self) -> tuple[np.ndarray, np.ndarray]:
         """Self-join over the indexed sources: the (i, j) index pairs with
         i < j within the radius, sorted by i and then by j."""
         keys = [np.empty(0, dtype=np.int64)]
-        for lo, ok, pos in self._blocks([(self.sx, self.sy)]):
-            i, c = np.nonzero(ok)
-            j = c if pos is None else self.order[pos[i, c]]
-            i += lo
-            keys.append(np.sort((i * self.size + j)[i < j]))
-        return np.divmod(np.concatenate(keys), max(self.size, 1))
+        buffers = self._buffers(min(_CHUNK, self.size))
+        for lo in range(0, self.size, _CHUNK):
+            x, y = self.sx[lo : lo + _CHUNK], self.sy[lo : lo + _CHUNK]
+            for pos, ok in self._walk(x, y, buffers):
+                i = np.flatnonzero(ok)
+                j = self.order[pos[i]]
+                i += lo
+                keys.append((i * self.size + j)[i < j])
+        return np.divmod(np.sort(np.concatenate(keys)), max(self.size, 1))
 
 
 # Codes of a CellClasses cell. Bit 0: some source is near the cell; bit 1:

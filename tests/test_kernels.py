@@ -232,6 +232,19 @@ def test_memory_bounded_by_points_plus_candidates():
         assert _traced_peak(run) < 32 * 2**20
 
 
+def test_walk_memory_bounded_by_one_chunk():
+    """Count and membership of one 65,536-point chunk over the spacing-3.8
+    lattice hold the results and one set of chunk-length walk buffers,
+    whatever the candidates per point."""
+    grid = np.arange(1.0, 400.0, 3.8)
+    lx, ly = (a.ravel() for a in np.meshgrid(grid, grid))
+    index = kernels.CellIndex(lx, ly, 2.0, 400.0, 400.0)
+    assert index.pruned
+    px, py = kernels.points_block(5, 0, kernels._CHUNK, 400.0, 400.0)
+    for run in (lambda: index.count([(px, py)]), lambda: index.membership(px, py)):
+        assert _traced_peak(run) < 8 * 2**20
+
+
 def test_classified_memory_bounded_on_many_nodes_geometry():
     """10^6 samples over 429 hex-grid discs classify ~410,000 cells."""
     dep = place_sources(EventField(400.0, 400.0), 10.0, Strategy.HEX_GRID)
