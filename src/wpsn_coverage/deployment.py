@@ -179,35 +179,36 @@ def scatter_nodes(field: EventField, n: int, seed: int) -> NodeField:
     # a chunk at a time through one workspace, straight into the positions,
     # which NodeField then takes as they are
     positions = np.empty((n, 2))
-    workspace = kernels.Workspace(min(kernels._CHUNK, n))
-    for lo in range(0, n, kernels._CHUNK):
-        rows = positions[lo : lo + kernels._CHUNK]
-        rows[:, 0], rows[:, 1] = kernels.points_block(
-            seed, lo, len(rows), field.width, field.height, workspace=workspace
-        )
+    for lo, x, y in kernels.point_chunks(seed, 0, n, field.width, field.height):
+        rows = positions[lo : lo + len(x)]
+        rows[:, 0], rows[:, 1] = x, y
     positions.flags.writeable = False
     return NodeField(field=field, positions=positions, seed=seed)
 
 
-def _membership(dep: Deployment, nodes: NodeField) -> tuple[np.ndarray, np.ndarray]:
-    """(first_source, fed_by) of each node: the lowest index of a closed
-    source disc it lies in (-1 if none), and how many it lies in."""
-    px, py = nodes.positions.T
-    sx, sy = dep.sources.T
-    w, h = dep.field.width, dep.field.height
-    return kernels.disc_index(len(px), w, h, sx, sy, dep.r_rf).membership(px, py)
-
-
-def _check_fields(dep: Deployment, nodes: NodeField) -> None:
+def _node_chunks(dep: Deployment, nodes: NodeField):
+    """(lo, answers) per chunk of nodes from node lo on, from one disc index:
+    per node, the lowest index of a closed source disc it lies in (-1 if
+    none) and how many it lies in, as a (2, n) int64 view of buffers that
+    the next chunk overwrites. Checks the fields and builds the index now."""
     if nodes.field != dep.field:
         raise ValidationError("node field does not match deployment field")
+    px, py = nodes.positions.T
+    index = kernels.disc_index(len(px), dep.field.width, dep.field.height, *dep.sources.T,
+                               dep.r_rf)
+    starts = range(0, len(px), kernels._CHUNK)
+    chunks = ((px[lo : lo + kernels._CHUNK], py[lo : lo + kernels._CHUNK]) for lo in starts)
+    return zip(starts, index.membership(chunks))
 
 
 def coverage_report(dep: Deployment, nodes: NodeField) -> CoverageReport:
     """Exact membership coverage: a node is covered iff its distance to
     some source is <= r_rf (closed disc)."""
-    _check_fields(dep, nodes)
-    return CoverageReport(*_membership(dep, nodes))
+    node_chunks = _node_chunks(dep, nodes)  # its index's build temporaries go before results
+    results = np.empty((2, len(nodes.positions)), dtype=np.int64)
+    for lo, answers in node_chunks:
+        results[:, lo : lo + answers.shape[1]] = answers
+    return CoverageReport(*results)
 
 
 def monte_carlo_coverage(
@@ -244,7 +245,7 @@ def monte_carlo_coverage(
 
 def detect_interference(dep: Deployment, nodes: NodeField) -> InterferenceReport:
     """Overlapping-range source pairs and nodes inside >=2 discs."""
-    _check_fields(dep, nodes)
+    node_chunks = _node_chunks(dep, nodes)  # walked after the pair search
     # relative slack keeps exactly-touching grid discs (spacing 2r up to
     # fp rounding) out of the overlap list
     threshold = 2.0 * dep.r_rf * (1.0 - 1e-12)
@@ -260,5 +261,7 @@ def detect_interference(dep: Deployment, nodes: NodeField) -> InterferenceReport
         dx, dy = (sx[a] - sx[b]).tolist(), (sy[a] - sy[b]).tolist()
         d[lo : lo + len(a)] = np.fromiter(map(math.hypot, dx, dy), np.float64, len(a))
     close = d < threshold
-    _, fed_by = _membership(dep, nodes)
-    return InterferenceReport(i[close], j[close], d[close], np.flatnonzero(fed_by >= 2))
+    # per chunk, only the multi-fed nodes' indices outlive it
+    multi = [np.flatnonzero(fed >= 2) + lo for lo, (_, fed) in node_chunks]
+    return InterferenceReport(i[close], j[close], d[close],
+                              np.concatenate([np.empty(0, np.int64), *multi]))

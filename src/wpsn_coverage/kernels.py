@@ -1,18 +1,17 @@
-"""Sampling kernels and the cell index behind every disc query.
+"""Sampling kernels and the two disc structures behind every point query.
 
-The generator is counter-based (splitmix64 finalizer over seed +
-counter), so any contiguous block of sample indices can be evaluated
-independently, into any buffer, and merged without changing the result
-(Salmon et al., "Parallel Random Numbers: As Easy as 1, 2, 3", SC'11).
-Monte Carlo and node scattering draw _CHUNK samples per `points_block`
-call into one `Workspace` (counters, shifts, x and y for one chunk), and
-the map's lookups and the index's walk reuse their buffers the same way,
-so no chunk after the first allocates or faults in fresh pages.
+Every point query takes one input shape, a stream of (x, y) chunks. The
+counter-based generator (splitmix64 finalizer over seed + counter) draws
+any block of sample indices on its own, into any buffer, with the same
+result (Salmon et al., "Parallel Random Numbers: As Easy as 1, 2, 3",
+SC'11): `point_chunks` draws _CHUNK samples at a time into one
+`Workspace`, for Monte Carlo and node scattering. Both disc structures
+answer `count(chunks)` and `membership(chunks)`, which yields each
+chunk's answers in buffers that the next chunk overwrites, so no chunk
+after the first allocates buffers.
 
 `CellIndex` sorts source centres by square cell under one offsets table
-(cell lists: Bentley, Stanat & Williams, "The complexity of finding
-fixed-radius near neighbors", IPL 1977; Teschner et al., "Optimized
-Spatial Hashing for Collision Detection of Deformable Objects", VMV
+(cell lists: Bentley, Stanat & Williams, IPL 1977; Teschner et al., VMV
 2003). A query walks its points' three runs of candidates one slot at a
 time, with the same closed-disc test `dx*dx + dy*dy <= r*r` as a test
 against every source: the index only prunes, so every answer is
@@ -23,13 +22,9 @@ level (Samet, "The Design and Analysis of Spatial Data Structures",
 1990): a grid of side r/16 to r/8 whose cells are empty, near one
 source, covered by that source, or near two or more, with margins that
 make one lookup, or one closed-disc test against the one near source,
-agree with a test against every source. Only points in cells near two
-or more sources reach the cell index. The same map answers Monte Carlo
-counts (`covered_count`) and per-node membership (lowest covering source
-and number of covering discs). The grid is used only where it has at
-most one cell per two points and at most 2048 cells per axis, decided
-from the arguments before anything is allocated; otherwise every point
-goes through the cell index.
+agree with a test against every source; only points in cells near two or
+more sources reach the cell index. It is used only where it has at most
+one cell per two points and 2048 per axis, decided from scalars.
 """
 
 from __future__ import annotations
@@ -92,13 +87,10 @@ def uniform_block(seed: int, start: int, count: int) -> np.ndarray:
 class Workspace:
     """Buffers for `points_block` calls of up to `count` samples: x and y
     for `count` points, and counters and shifts for one chunk of them.
-    A workspace of min(_CHUNK, count) samples draws any number of samples
-    a chunk per call with no allocation; each call overwrites the x and y
-    that the last one returned."""
+    Each call overwrites the x and y that the last one returned."""
 
     def __init__(self, count: int):
-        self.x = np.empty(count)
-        self.y = np.empty(count)
+        self.x, self.y = np.empty((2, count))
         self.z, self.shifted = np.empty((2, min(_CHUNK, count)), dtype=np.uint64)
 
 
@@ -131,6 +123,16 @@ def points_block(
     return x, y
 
 
+def _sized(chunks, buffers):
+    """Yield (x, y, buffers(n)) per (x, y) chunk, with n at least its
+    length: buffers are made anew only for a chunk longer than any before."""
+    size, made = 0, buffers(0)
+    for x, y in chunks:
+        if len(x) > size:
+            size, made = len(x), buffers(len(x))
+        yield x, y, made
+
+
 def _in_disc(x, y, sx, sy, r_sq: float, d2=None, dy=None, ok=None) -> np.ndarray:
     """dx*dx + dy*dy <= r*r elementwise, in place (in buffers d2, dy and ok
     if given; d2 and dy may be sx and sy): every disc answer comes from
@@ -153,10 +155,10 @@ class CellIndex:
     of its row hold the sorted sources offsets[k - 1] : offsets[k + 2],
     with no bounds test; `run` is the longest such run. A query walks
     3 * run slots, slot s of a row testing the s-th source of each point's
-    run there (False past its end), on chunk-length vectors in buffers
-    that every slot and chunk reuses. Where 3 * run is no smaller than the
-    source count the index cannot prune (`pruned` is False), and every
-    point walks all the sources.
+    run there (False past its end), on vectors as long as the query's (x, y)
+    chunks, in buffers that every slot and chunk reuses. Where 3 * run is
+    no smaller than the source count the index cannot prune (`pruned` is
+    False), and every point walks all the sources.
     """
 
     def __init__(self, sources_x, sources_y, radius: float, width: float, height: float):
@@ -195,14 +197,15 @@ class CellIndex:
 
     @staticmethod
     def _buffers(count: int):
-        """Int, float and bool buffers for walks of up to `count` points."""
-        return np.empty((5, count), np.int64), np.empty((2, count)), np.empty((3, count), bool)
+        """Int, float and bool buffers for walks of up to `count` points;
+        int rows 4-6 and bool row 2 are for `membership` and `count`."""
+        return np.empty((7, count), np.int64), np.empty((2, count)), np.empty((3, count), bool)
 
     def _walk(self, x, y, buffers):
         """Yield (pos, ok) per slot: each point's candidate as a position
         in the sorted sources, and whether it lies within the radius. Both
         are views of `buffers`, which the next slot overwrites."""
-        (key, lo, hi, pos, _), (d2, dy), (ok, inside, _) = (b[:, : len(x)] for b in buffers)
+        (key, lo, hi, pos, *_), (d2, dy), (ok, inside, _) = (b[:, : len(x)] for b in buffers)
         if not self.pruned:  # every source in turn, the same one for every point
             for s in range(self.size):
                 pos.fill(s)
@@ -223,12 +226,9 @@ class CellIndex:
 
     def count(self, chunks) -> int:
         """Number of points, over (x, y) chunks, within the radius of at
-        least one source, in buffers sized by the largest chunk so far."""
+        least one source."""
         inside = 0
-        buffers = self._buffers(0)
-        for px, py in chunks:
-            if len(px) > buffers[0].shape[1]:
-                buffers = self._buffers(len(px))
+        for px, py, buffers in _sized(chunks, self._buffers):
             hit = buffers[2][2, : len(px)]
             hit.fill(False)
             for _, ok in self._walk(px, py, buffers):
@@ -236,23 +236,22 @@ class CellIndex:
             inside += int(np.count_nonzero(hit))
         return inside
 
-    def membership(self, px: np.ndarray, py: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Per point: the lowest index of a source within the radius (-1
-        if none) and the number of such sources, _CHUNK points at a time.
-        Candidates come in cell order, so the lowest index is a running
-        minimum over the hits, not the first hit."""
-        first = np.full(len(px), self.size, dtype=np.int64)
-        fed = np.zeros(len(px), dtype=np.int64)
-        buffers = self._buffers(min(_CHUNK, len(px)))
-        for lo in range(0, len(px), _CHUNK):
-            low, count = first[lo : lo + _CHUNK], fed[lo : lo + _CHUNK]  # views into the results
-            source = buffers[0][4, : len(low)]
-            for pos, ok in self._walk(px[lo : lo + _CHUNK], py[lo : lo + _CHUNK], buffers):
-                count += ok
+    def membership(self, chunks):
+        """Per (x, y) chunk, a (2, n) int64 view of buffers that the next
+        chunk overwrites: per point, the lowest index of a source within
+        the radius (-1 if none) and the number of such sources. Candidates
+        come in cell order, so the lowest index is a running minimum over
+        the hits, not the first hit."""
+        for px, py, buffers in _sized(chunks, self._buffers):
+            source, first, fed = rows = buffers[0][4:, : len(px)]
+            first.fill(self.size)
+            fed.fill(0)
+            for pos, ok in self._walk(px, py, buffers):
+                fed += ok
                 np.take(self.order, pos, out=source, mode="clip")  # read where ok only
-                np.minimum(low, source, out=low, where=ok)
-        first[fed == 0] = -1
-        return first, fed
+                np.minimum(first, source, out=first, where=ok)
+            first[fed == 0] = -1
+            yield rows[1:]
 
     def pairs(self) -> tuple[np.ndarray, np.ndarray]:
         """Self-join over the indexed sources: the (i, j) index pairs with
@@ -350,18 +349,17 @@ class CellClasses:
 
     @staticmethod
     def _buffers(count: int):
-        """Cell keys, x cells and codes for `_lookup`s of up to `count` points."""
-        return np.empty(count, np.intp), np.empty(count, np.intp), np.empty(count, np.uint8)
+        """Cell keys and x cells (int64) and codes for `_lookup`s of up to
+        `count` points; `membership` answers over the x cells, then the keys."""
+        return np.empty((2, count), np.int64), np.empty(count, np.uint8)
 
-    def _lookup(self, px, py, buffers=None):
+    def _lookup(self, px, py, buffers):
         """Per point: its cell's code, and for points in one-source cells
         their indices into px and whether their sole source's disc holds
-        them. Keys and codes are written into `buffers` (fresh ones if
-        None) and returned as views of them."""
-        if buffers is None:
-            buffers = self._buffers(len(px))
-        key, column, code = (b[: len(px)] for b in buffers)
-        # each product truncated to an integer cell, as .astype(np.intp) does
+        them. Keys and codes are written into `buffers` and returned as
+        views of them."""
+        (key, column), code = buffers[0][:, : len(px)], buffers[1][: len(px)]
+        # each product truncated to an integer cell, as .astype(np.int64) does
         np.multiply(py, self.per_m, out=key, casting="unsafe")
         key *= self.stride
         np.multiply(px, self.per_m, out=column, casting="unsafe")
@@ -370,20 +368,17 @@ class CellClasses:
         np.take(self.code, key, out=code)
         one = np.flatnonzero(code == ONE)
         src = self.sole[key[one]]
-        return key, code, one, _in_disc(px[one], py[one], self.x[src], self.y[src], self.r_sq)
+        sx, sy = self.x[src], self.y[src]  # fresh gathers: _in_disc works in them
+        return key, code, one, _in_disc(px[one], py[one], sx, sy, self.r_sq, sx, sy)
 
     def count(self, chunks) -> int:
         """Number of points, over (x, y) chunks, within the radius of at
-        least one source. The lookup reuses one set of buffers, sized by
-        the largest chunk so far."""
+        least one source."""
         inside = 0
-        buffers = self._buffers(0)
 
         def many():
-            nonlocal inside, buffers
-            for px, py in chunks:
-                if len(px) > len(buffers[0]):
-                    buffers = self._buffers(len(px))
+            nonlocal inside
+            for px, py, buffers in _sized(chunks, self._buffers):
                 _, code, _, hit = self._lookup(px, py, buffers)
                 covered = np.count_nonzero(code & 2)  # bit 1: COVERED and MANY_COVERED
                 inside += int(covered) + int(np.count_nonzero(hit))
@@ -392,23 +387,23 @@ class CellClasses:
 
         return self.index.count(many()) + inside
 
-    def membership(self, px: np.ndarray, py: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Per point: the lowest index of a source within the radius (-1
-        if none) and the number of such sources. Points go _CHUNK at a
-        time, so only the two results are per-point arrays."""
-        first = np.empty(len(px), dtype=np.int64)
-        fed = np.empty(len(px), dtype=np.int64)
-        buffers = self._buffers(min(_CHUNK, len(px)))
-        for lo in range(0, len(px), _CHUNK):
-            x, y = px[lo : lo + _CHUNK], py[lo : lo + _CHUNK]
-            key, code, one, hit = self._lookup(x, y, buffers)
-            low, count = first[lo : lo + _CHUNK], fed[lo : lo + _CHUNK]  # views into the results
-            low[:] = self.sole[key]  # -1 in empty cells
-            low[one[~hit]] = -1
-            np.greater_equal(low, 0, out=count)
+    def membership(self, chunks):
+        """Per (x, y) chunk, as `CellIndex.membership`, in buffers that the
+        next chunk overwrites. The points of each chunk that lie in cells
+        near two or more sources go through one index membership."""
+        todo = []
+        walked = self.index.membership(iter(todo.pop, None))  # each next() walks todo's chunk
+        for px, py, buffers in _sized(chunks, self._buffers):
+            key, code, one, hit = self._lookup(px, py, buffers)
+            first, fed = answers = buffers[0][::-1, : len(px)]  # spent x cells; keys once read
+            first[:] = self.sole[key]  # -1 in empty cells
+            first[one[~hit]] = -1
+            del one, hit  # not held through the next chunk's lookup
+            np.greater_equal(first, 0, out=fed)
             many = np.flatnonzero(code >= MANY)
-            low[many], count[many] = self.index.membership(x[many], y[many])
-        return first, fed
+            todo.append((px[many], py[many]))
+            answers[:, many] = next(walked)
+            yield answers
 
 
 def _cells_per_radius(count: int, width: float, height: float, radius: float) -> int | None:
@@ -430,24 +425,26 @@ def disc_index(count: int, width: float, height: float, sources_x, sources_y,
     """The structure that answers disc queries for `count` points: a
     `CellClasses` where a fine grid fits that many, decided from scalars
     before anything is allocated, otherwise a `CellIndex`. Both give
-    `count(chunks)` and `membership(px, py)`."""
+    `count(chunks)` and `membership(chunks)`."""
     per_radius = _cells_per_radius(count, width, height, radius)
     if per_radius is None:
         return CellIndex(sources_x, sources_y, radius, width, height)
     return CellClasses(sources_x, sources_y, radius, width, height, per_radius)
 
 
-def covered_count(
-    seed: int, start: int, count: int, width: float, height: float,
-    index: CellIndex | CellClasses,
-) -> int:
+def point_chunks(seed: int, start: int, count: int, width: float, height: float):
+    """Yield (lo, x, y) for the samples [start, start+count), _CHUNK at a
+    time from sample lo on, drawn into one workspace: each chunk's x and y
+    are overwritten by the next."""
+    workspace = Workspace(min(_CHUNK, count))
+    for lo in range(start, start + count, _CHUNK):
+        n = min(_CHUNK, start + count - lo)
+        yield lo, *points_block(seed, lo, n, width, height, workspace=workspace)
+
+
+def covered_count(seed: int, start: int, count: int, width: float, height: float,
+                  index: CellIndex | CellClasses) -> int:
     """Number of samples in [start, start+count) that fall inside >=1 disc
     of `index`, a `disc_index` of the sources built by the caller: once
-    for all the spans into which a caller splits one call's samples.
-    Every chunk is drawn into one workspace, consumed before the next."""
-    workspace = Workspace(min(_CHUNK, count))
-    return index.count(
-        points_block(seed, lo, min(_CHUNK, start + count - lo), width, height,
-                     workspace=workspace)
-        for lo in range(start, start + count, _CHUNK)
-    )
+    for all the spans into which a caller splits one call's samples."""
+    return index.count((x, y) for _, x, y in point_chunks(seed, start, count, width, height))

@@ -309,12 +309,13 @@ class TestCoverageReport:
         assert report.first_source.tolist() == [0]
         assert report.fed_by.tolist() == [2]
 
-    def test_membership_matches_per_node_loop(self):
+    @pytest.mark.parametrize("n", [2000, 2 * kernels._CHUNK + 5])  # across chunk boundaries
+    def test_membership_matches_per_node_loop(self, n):
         field = EventField(60.0, 40.0)
         sources = ((10.0, 10.0), (18.5, 12.25), (30.0, 20.0), (35.0, 24.0), (50.0, 35.0))
         r = 9.0
         dep = Deployment(field, sources, r, Strategy.EXPLICIT)
-        nodes = scatter_nodes(field, 2000, seed=4)
+        nodes = scatter_nodes(field, n, seed=4)
         report = coverage_report(dep, nodes)
         expected = [
             [j for j, (sx, sy) in enumerate(sources)
@@ -336,6 +337,8 @@ class TestCoverageReport:
         assert report.fed_by.tolist() == []
         assert (report.total_count, report.covered_count) == (0, 0)
         assert report.coverage_fraction == 0.0
+        multi_fed = detect_interference(dep, scatter_nodes(field, 0, seed=0)).multi_fed
+        assert multi_fed.dtype == np.int64 and len(multi_fed) == 0
 
     def test_field_mismatch_rejected(self):
         dep = Deployment(EventField(20.0, 20.0), ((10.0, 10.0),), 5.0, Strategy.EXPLICIT)

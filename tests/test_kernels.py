@@ -22,6 +22,7 @@ from wpsn_coverage.deployment import (
     coverage_report,
     detect_interference,
     place_sources,
+    scatter_nodes,
 )
 from wpsn_coverage.quantities import ValidationError
 
@@ -50,6 +51,19 @@ def covered_count(seed, start, count, width, height, sources_x, sources_y, radiu
     """`kernels.covered_count` over a `disc_index` built for this count."""
     index = kernels.disc_index(count, width, height, sources_x, sources_y, radius)
     return kernels.covered_count(seed, start, count, width, height, index)
+
+
+def chunked_membership(structure, px, py, cuts=None):
+    """`structure.membership` over px, py split at `cuts` (every
+    kernels._CHUNK points when None), joined into two int64 arrays: each
+    chunk's answers are copied out before the next chunk overwrites them."""
+    if cuts is None:
+        cuts = list(range(kernels._CHUNK, len(px), kernels._CHUNK))
+    first, fed = np.empty((2, len(px)), dtype=np.int64)
+    answers = structure.membership(zip(np.split(px, cuts), np.split(py, cuts)))
+    for lo, (low, count) in zip([0, *cuts], answers):
+        first[lo : lo + len(low)], fed[lo : lo + len(low)] = low, count
+    return first, fed
 
 
 def reference_membership(sources, nodes, radius):
@@ -241,7 +255,7 @@ def test_walk_memory_bounded_by_one_chunk():
     index = kernels.CellIndex(lx, ly, 2.0, 400.0, 400.0)
     assert index.pruned
     px, py = kernels.points_block(5, 0, kernels._CHUNK, 400.0, 400.0)
-    for run in (lambda: index.count([(px, py)]), lambda: index.membership(px, py)):
+    for run in (lambda: index.count([(px, py)]), lambda: chunked_membership(index, px, py)):
         assert _traced_peak(run) < 8 * 2**20
 
 
@@ -307,10 +321,29 @@ def test_classified_membership_holds_only_its_results_per_node():
     cells = kernels.CellClasses(*dep.sources.T, 10.0, 400.0, 400.0, 16)
     px, py = np.random.default_rng(4).uniform(0.0, 400.0, size=(2, 5 * 10**5))
     results = []
-    assert _traced_peak(lambda: results.append(cells.membership(px, py))) < 11 * 2**20
+    assert _traced_peak(lambda: results.append(chunked_membership(cells, px, py))) < 11 * 2**20
     first, fed = results[0]
     assert first.dtype == fed.dtype == np.int64
     assert np.count_nonzero(fed) == np.count_nonzero(first >= 0) > 0
+
+
+def test_interference_holds_no_per_node_answers():
+    """Pre-drawn nodes over the 429 hex-grid discs of the many_nodes
+    geometry: detect_interference keeps per chunk only the multi-fed
+    nodes, so its peak (the map, then one chunk's buffers) is the same at
+    10^6 and 4 * 10^6 nodes; holding every node's two int64 answers grew
+    it from 19 to 65 MiB. coverage_report must return those answers
+    (15.3 MiB at 10^6 nodes) and holds the map and one chunk beside them."""
+    field = EventField(400.0, 400.0)
+    dep = place_sources(field, 10.0, Strategy.HEX_GRID)
+    peaks = []
+    for n in (10**6, 4 * 10**6):
+        nodes = scatter_nodes(field, n, seed=2)
+        peaks.append(_traced_peak(lambda: detect_interference(dep, nodes)))
+        if n == 10**6:
+            assert _traced_peak(lambda: coverage_report(dep, nodes)) < 19 * 2**20
+    small, large = peaks
+    assert large < small + 2**16 and large < 16 * 2**20, peaks
 
 
 @pytest.mark.parametrize("samples, radius", [(10**6, 1e-3), (4096, 2.0)])
@@ -381,13 +414,13 @@ def test_membership_equals_brute_force_on_grid_and_fallback(case, candidates):
     px, py = node_field.positions.T
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(kernels, "_CANDIDATES", candidates)
-        patch.setattr(kernels, "_CHUNK", 7)  # the map takes nodes a chunk at a time
-        first, fed = kernels.CellIndex(sx, sy, radius, width, height).membership(px, py)
+        patch.setattr(kernels, "_CHUNK", 7)  # nodes reach membership in 7-point chunks
+        first, fed = chunked_membership(kernels.CellIndex(sx, sy, radius, width, height), px, py)
         assert (first.tolist(), fed.tolist()) == expected
         per_radius = kernels._cells_per_radius(2 * 10**5, width, height, radius)
         if per_radius is not None:
             cells = kernels.CellClasses(sx, sy, radius, width, height, per_radius)
-            first, fed = cells.membership(px, py)
+            first, fed = chunked_membership(cells, px, py)
             assert (first.tolist(), fed.tolist()) == expected
         report = coverage_report(dep, node_field)
         assert (report.first_source.tolist(), report.fed_by.tolist()) == expected
@@ -410,7 +443,7 @@ def test_cell_map_equals_brute_force_at_every_grid_size(case):
     for per_radius in range(2, 17):
         cells = kernels.CellClasses(sx, sy, radius, width, height, per_radius)
         assert cells.count([(px[:half], py[:half]), (px[half:], py[half:])]) == inside, per_radius
-        first, fed = cells.membership(px, py)
+        first, fed = chunked_membership(cells, px, py, [half])
         assert (first.tolist(), fed.tolist()) == expected, per_radius
 
 
@@ -447,9 +480,9 @@ def test_classified_count_on_cell_corners_and_circles(radius, per_radius):
     expected = [int(bool(feeds)) for feeds in reference_membership(sources, points, radius)]
     assert _per_point(counter, px, py) == expected
     assert counter.count([(px[:100], py[:100]), (px[100:], py[100:])]) == sum(expected)
-    first, fed = counter.membership(px, py)
+    first, fed = chunked_membership(counter, px, py, [100])
     assert (first.tolist(), fed.tolist()) == reference_first_fed(sources, points, radius)
-    _, code, _, _ = counter._lookup(px, py)
+    _, code, _, _ = counter._lookup(px, py, counter._buffers(len(px)))
     assert set(code.tolist()) == {
         kernels.EMPTY, kernels.ONE, kernels.COVERED, kernels.MANY, kernels.MANY_COVERED
     }
